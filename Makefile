@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-json bench-check golden fuzz-smoke soak fsck-smoke loadgen-smoke
+.PHONY: build test check bench bench-json bench-check perfbench-test golden fuzz-smoke soak fsck-smoke loadgen-smoke
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,14 @@ bench-check:
 		-threshold $(BENCH_THRESHOLD) -quality-threshold $(BENCH_QUALITY) \
 		> bench-compare.txt; \
 	status=$$?; cat bench-compare.txt; exit $$status
+
+# The work-bounded benchmark's own tests (perfbench/): its reference fault
+# simulator against hand-derived s27 results, and its output checks against
+# corrupted outputs. They are the independent check on the fault simulator
+# and compaction. perfbench is a module of its own, so `go test ./...` at
+# the root does not reach it.
+perfbench-test:
+	$(GO) -C perfbench test ./...
 
 # Short fuzz pass over the .bench parser: no panics, accepted inputs
 # round-trip. CI runs this on every push; run with a longer -fuzztime to dig.

@@ -14,55 +14,84 @@ import (
 	"gahitec/internal/netlist"
 )
 
-// grade returns the number of faults the concatenated test set detects.
-func grade(c *netlist.Circuit, faults []fault.Fault, set [][]logic.Vector) int {
-	fs := faultsim.New(c, faults)
-	for _, seq := range set {
-		fs.ApplySequence(seq)
-	}
-	return fs.NumDetected()
-}
-
 // Sequences removes whole test sequences, scanning from the last added to
 // the first (later sequences were generated against harder faults and tend
 // to subsume earlier ones), keeping only those whose removal would reduce
 // coverage. The returned set preserves the relative order of the survivors.
+//
+// Every candidate drop is graded exactly, but not from reset. The backward
+// scan never changes the sequences before the candidate, so the trial
+// resumes from a clone of the fault simulator taken at that sequence
+// boundary while the whole set was graded once, and it is accepted as soon
+// as it detects as many faults as the whole set.
 func Sequences(c *netlist.Circuit, faults []fault.Fault, set [][]logic.Vector) [][]logic.Vector {
-	baseline := grade(c, faults, set)
+	fs := faultsim.New(c, faults)
+	snaps := make([]*faultsim.Simulator, len(set)) // snaps[i]: state after set[:i]
+	for i, seq := range set {
+		snaps[i] = fs.Clone()
+		fs.ApplySequence(seq)
+	}
+	baseline := fs.NumDetected()
 	kept := append([][]logic.Vector(nil), set...)
 	for i := len(kept) - 1; i >= 0; i-- {
-		trial := make([][]logic.Vector, 0, len(kept)-1)
-		trial = append(trial, kept[:i]...)
-		trial = append(trial, kept[i+1:]...)
-		if grade(c, faults, trial) >= baseline {
-			kept = trial
+		if reaches(snaps[i], kept[i+1:], baseline) {
+			kept = append(kept[:i], kept[i+1:]...)
 		}
+		snaps[i] = nil // its only trial is done
 	}
 	return kept
 }
 
-// TrimTail removes trailing vectors from the final sequence while coverage
-// is preserved (the last vectors of the last test often only clock the
-// machine past the final observation).
-func TrimTail(c *netlist.Circuit, faults []fault.Fault, set [][]logic.Vector) [][]logic.Vector {
-	if len(set) == 0 {
-		return set
-	}
-	baseline := grade(c, faults, set)
-	out := append([][]logic.Vector(nil), set...)
-	last := append([]logic.Vector(nil), out[len(out)-1]...)
-	for len(last) > 0 {
-		trial := append([][]logic.Vector(nil), out[:len(out)-1]...)
-		if len(last) > 1 {
-			trial = append(trial, last[:len(last)-1])
-		}
-		if grade(c, faults, trial) < baseline {
+// reaches applies the sequences to fs until it has detected baseline faults
+// and reports whether it got there.
+func reaches(fs *faultsim.Simulator, set [][]logic.Vector, baseline int) bool {
+	for _, seq := range set {
+		if fs.NumDetected() >= baseline {
 			break
 		}
-		last = last[:len(last)-1]
-		out = trial
+		fs.ApplySequence(seq)
 	}
+	return fs.NumDetected() >= baseline
+}
+
+// TrimTail removes trailing vectors from the final sequence while coverage
+// is preserved (the last vectors of the last test often only clock the
+// machine past the final observation). Coverage only grows with the number
+// of vectors kept, so the final sequence is simulated once, from the state
+// the others leave, and cut after the last vector that detects a fault; a
+// final sequence that detects nothing is dropped whole.
+func TrimTail(c *netlist.Circuit, faults []fault.Fault, set [][]logic.Vector) [][]logic.Vector {
+	out, _ := trimTail(c, faults, set)
 	return out
+}
+
+// trimTail is TrimTail that also returns the number of faults the trimmed
+// set detects: as many as the untrimmed one, since the vectors cut detect
+// nothing.
+func trimTail(c *netlist.Circuit, faults []fault.Fault, set [][]logic.Vector) ([][]logic.Vector, int) {
+	if len(set) == 0 {
+		return set, 0
+	}
+	fs := faultsim.New(c, faults)
+	out := append([][]logic.Vector(nil), set[:len(set)-1]...)
+	for _, seq := range out {
+		fs.ApplySequence(seq)
+	}
+	last := set[len(set)-1]
+	if len(last) == 0 { // no vector to trim: it stays
+		return append(out, last), fs.NumDetected()
+	}
+	start, prior := fs.NumVectors(), fs.NumDetected()
+	fs.ApplySequence(last)
+	// One call's detections come ordered by 64-fault batch, not by vector.
+	keep := 0
+	for _, d := range fs.Detections()[prior:] {
+		keep = max(keep, d.Vector-start+1)
+	}
+	if keep > 0 {
+		out = append(out, last[:keep:keep])
+	}
+	return out, fs.NumDetected()
 }
 
 // Stats summarizes a compaction outcome.
@@ -75,10 +104,10 @@ type Stats struct {
 // Run applies Sequences then TrimTail and reports before/after statistics.
 func Run(c *netlist.Circuit, faults []fault.Fault, set [][]logic.Vector) ([][]logic.Vector, Stats) {
 	st := Stats{SequencesBefore: len(set), VectorsBefore: countVectors(set)}
-	out := TrimTail(c, faults, Sequences(c, faults, set))
+	out, detected := trimTail(c, faults, Sequences(c, faults, set))
 	st.SequencesAfter = len(out)
 	st.VectorsAfter = countVectors(out)
-	st.Detected = grade(c, faults, out)
+	st.Detected = detected
 	return out, st
 }
 

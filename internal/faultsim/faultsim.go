@@ -13,6 +13,8 @@
 package faultsim
 
 import (
+	"math/bits"
+
 	"gahitec/internal/fault"
 	"gahitec/internal/logic"
 	"gahitec/internal/netlist"
@@ -40,12 +42,17 @@ type Simulator struct {
 
 	good *sim.Serial // good-machine reference state
 
+	// remaining is never written in place, so clones share it. Per
+	// remaining fault i, fstate[i*len(c.DFFs):] holds its faulty flip-flop
+	// state and potential[i] whether it was potentially detected.
 	remaining []fault.Fault
-	fstate    [][]logic.V // per remaining fault: faulty flip-flop state
+	fstate    []logic.V
+	potential []bool
 
-	detections []Detection
-	potential  map[fault.Fault]bool // potentially detected (good known, faulty X)
+	detections []Detection // only appended to, so clones share it
 	nVectors   int
+
+	b *batch // reloaded for every 64-fault group; nil until first used
 
 	hooks *runctl.Hooks // fault-injection harness; nil when disarmed
 	rec   *obs.Recorder // telemetry recorder; nil when disabled
@@ -75,34 +82,58 @@ func NewFromState(c *netlist.Circuit, faults []fault.Fault, goodState logic.Vect
 		c:         c,
 		good:      sim.NewSerial(c),
 		remaining: append([]fault.Fault(nil), faults...),
-		potential: make(map[fault.Fault]bool),
+		fstate:    make([]logic.V, len(faults)*len(c.DFFs)),
+		potential: make([]bool, len(faults)),
 	}
 	if goodState != nil {
 		s.good.SetState(goodState)
 	}
-	s.fstate = make([][]logic.V, len(s.remaining))
+	// All-unknown, with stuck flip-flops held.
 	for i, f := range s.remaining {
-		s.fstate[i] = initialFaultyState(c, f)
+		st := s.faultyState(i)
+		for ffi, ff := range c.DFFs {
+			st[ffi] = logic.X
+			if f.IsStem() && f.Node == ff {
+				st[ffi] = f.Stuck
+			}
+		}
 	}
 	return s
 }
 
-// initialFaultyState is the all-unknown state with stuck flip-flops held.
-func initialFaultyState(c *netlist.Circuit, f fault.Fault) []logic.V {
-	st := make([]logic.V, len(c.DFFs))
-	for i := range st {
-		st[i] = logic.X
-		if f.IsStem() && f.Node == c.DFFs[i] {
-			st[i] = f.Stuck
-		}
-	}
-	return st
+// faultyState returns remaining fault i's flip-flop state, in place.
+func (s *Simulator) faultyState(i int) []logic.V {
+	n := len(s.c.DFFs)
+	return s.fstate[i*n : (i+1)*n]
+}
+
+// Clone returns an independent copy of the simulator: advancing either one
+// leaves the other's Remaining, Detections, PotentiallyDetected and
+// GoodState unchanged. It copies each remaining fault's flip-flop state, so
+// a clone costs about |Remaining()| × |DFFs| bytes; the remaining-fault list
+// and the detection log are shared until the simulator changes them.
+// Clones taken at the 69 sequence boundaries of an am2910 test set (1422
+// faults, 62 flip-flops) hold about 2 MB in all. The clone has the same
+// hooks and recorder.
+func (s *Simulator) Clone() *Simulator {
+	cl := *s
+	cl.good = sim.NewSerial(s.c)
+	cl.good.SetState(s.good.State())
+	cl.remaining = s.remaining[:len(s.remaining):len(s.remaining)]
+	cl.fstate = append([]logic.V(nil), s.fstate...)
+	cl.potential = append([]bool(nil), s.potential...)
+	cl.detections = s.detections[:len(s.detections):len(s.detections)]
+	cl.b = nil
+	return &cl
 }
 
 // Remaining returns the undetected faults (caller must not modify).
 func (s *Simulator) Remaining() []fault.Fault { return s.remaining }
 
-// Detections returns all detections so far in detection order.
+// Detections returns all detections so far. Calls append in the order they
+// were made; within one ApplySequence call the detections are ordered by
+// 64-fault batch (in Remaining order), then by vector, so their Vector
+// indices are not sorted.
 func (s *Simulator) Detections() []Detection { return s.detections }
 
 // NumDetected returns the number of faults detected so far.
@@ -118,8 +149,8 @@ func (s *Simulator) NumVectors() int { return s.nVectors }
 // NumDetected.
 func (s *Simulator) PotentiallyDetected() []fault.Fault {
 	var out []fault.Fault
-	for _, f := range s.remaining {
-		if s.potential[f] {
+	for i, f := range s.remaining {
+		if s.potential[i] {
 			out = append(out, f)
 		}
 	}
@@ -144,28 +175,33 @@ func (s *Simulator) ApplySequence(seq []logic.Vector) []fault.Fault {
 		goodOut[i] = s.good.Step(in)
 	}
 
+	if s.b == nil {
+		s.b = newBatch(s.c)
+	}
 	detected := make([]bool, len(s.remaining))
 	var newly []fault.Fault
 	for base := 0; base < len(s.remaining); base += logic.Lanes {
-		end := base + logic.Lanes
-		if end > len(s.remaining) {
-			end = len(s.remaining)
-		}
+		end := min(base+logic.Lanes, len(s.remaining))
 		s.runBatch(base, end, seq, goodOut, detected, &newly)
 	}
 	s.nVectors += len(seq)
 
-	// Compact the remaining fault list.
-	var keepF []fault.Fault
-	var keepS [][]logic.V
-	for i := range s.remaining {
-		if !detected[i] {
-			keepF = append(keepF, s.remaining[i])
-			keepS = append(keepS, s.fstate[i])
+	// Drop the detected faults: a new remaining list, since clones share
+	// the old one; fstate and potential are this simulator's own.
+	if len(newly) != 0 {
+		keep := make([]fault.Fault, 0, len(s.remaining)-len(newly))
+		for i, f := range s.remaining {
+			if detected[i] {
+				continue
+			}
+			copy(s.faultyState(len(keep)), s.faultyState(i))
+			s.potential[len(keep)] = s.potential[i]
+			keep = append(keep, f)
 		}
+		s.remaining = keep
+		s.fstate = s.fstate[:len(keep)*len(s.c.DFFs)]
+		s.potential = s.potential[:len(keep)]
 	}
-	s.remaining = keepF
-	s.fstate = keepS
 	sp.End("graded", obs.Attrs{
 		"vectors": float64(len(seq)),
 		"faults":  float64(graded),
@@ -177,20 +213,21 @@ func (s *Simulator) ApplySequence(seq []logic.Vector) []fault.Fault {
 // runBatch simulates faults [base, end) over the sequence.
 func (s *Simulator) runBatch(base, end int, seq []logic.Vector, goodOut []logic.Vector, detected []bool, newly *[]fault.Fault) {
 	n := end - base
-	b := newBatch(s.c, s.remaining[base:end])
+	b := s.b
+	b.load(s.remaining[base:end])
 
-	// Load the per-fault faulty states into the lanes.
-	ffWords := make([]logic.Word, len(s.c.DFFs))
-	for ffi := range s.c.DFFs {
-		w := logic.WordAllX
+	// Load the per-fault faulty states into the lanes; unused lanes stay X.
+	for ffi, ff := range s.c.DFFs {
+		var w logic.Word
 		for l := 0; l < n; l++ {
-			w = w.WithLane(l, s.fstate[base+l][ffi])
+			w = w.WithLane(l, s.fstate[(base+l)*len(s.c.DFFs)+ffi])
 		}
-		ffWords[ffi] = w
+		b.setNode(ff, b.stemFixed(ff, w))
 	}
-	b.setFFs(ffWords)
 
-	done := uint64(0) // lanes already detected
+	live := ^uint64(0) >> uint(logic.Lanes-n) // lanes carrying a fault
+	done := uint64(0)                         // lanes already detected
+	pot := uint64(0)                          // lanes potentially detected
 	for vi, in := range seq {
 		b.settle(in)
 		if s.hooks.Enter(SiteWord) == runctl.ActCorrupt {
@@ -204,7 +241,7 @@ func (s *Simulator) runBatch(base, end int, seq []logic.Vector, goodOut []logic.
 			goodW := logic.WordAll(g)
 			diff := logic.DiffMask(goodW, b.val[po]) &^ done
 			for diff != 0 {
-				l := trailingBit(diff)
+				l := bits.TrailingZeros64(diff)
 				diff &^= 1 << uint(l)
 				done |= 1 << uint(l)
 				detected[base+l] = true
@@ -216,22 +253,20 @@ func (s *Simulator) runBatch(base, end int, seq []logic.Vector, goodOut []logic.
 			}
 			// Potential detections: faulty value unknown where the good
 			// machine drives a binary value.
-			pot := ^b.val[po].Defined() &^ done
-			for pot != 0 {
-				l := trailingBit(pot)
-				pot &^= 1 << uint(l)
-				if l < end-base {
-					s.potential[s.remaining[base+l]] = true
-				}
-			}
+			pot |= ^b.val[po].Defined() &^ done & live
 		}
 		b.clock()
+	}
+	for l := 0; l < n; l++ {
+		if pot&(1<<uint(l)) != 0 {
+			s.potential[base+l] = true
+		}
 	}
 	// Save the faulty states back.
 	for ffi, ff := range s.c.DFFs {
 		w := b.val[ff]
 		for l := 0; l < n; l++ {
-			s.fstate[base+l][ffi] = w.Get(l)
+			s.fstate[(base+l)*len(s.c.DFFs)+ffi] = w.Get(l)
 		}
 	}
 }
@@ -259,13 +294,4 @@ func corruptWord(c *netlist.Circuit, b *batch, n int, good logic.Vector, done ui
 			}
 		}
 	}
-}
-
-func trailingBit(m uint64) int {
-	n := 0
-	for m&1 == 0 {
-		m >>= 1
-		n++
-	}
-	return n
 }

@@ -1,6 +1,8 @@
 package faultsim
 
 import (
+	"math/bits"
+
 	"gahitec/internal/fault"
 	"gahitec/internal/logic"
 	"gahitec/internal/netlist"
@@ -59,12 +61,10 @@ func Signatures(c *netlist.Circuit, faults []fault.Fault, seq []logic.Vector) []
 	for i, in := range seq {
 		goodOut[i] = good.Step(in)
 	}
+	b := newBatch(c)
 	for base := 0; base < len(faults); base += logic.Lanes {
-		end := base + logic.Lanes
-		if end > len(faults) {
-			end = len(faults)
-		}
-		b := newBatch(c, faults[base:end])
+		end := min(base+logic.Lanes, len(faults))
+		b.load(faults[base:end])
 		for vi, in := range seq {
 			b.settle(in)
 			for poi, po := range c.POs {
@@ -74,7 +74,7 @@ func Signatures(c *netlist.Circuit, faults []fault.Fault, seq []logic.Vector) []
 				}
 				diff := logic.DiffMask(logic.WordAll(g), b.val[po])
 				for diff != 0 {
-					l := trailingBit(diff)
+					l := bits.TrailingZeros64(diff)
 					diff &^= 1 << uint(l)
 					if base+l < end {
 						out[base+l] = append(out[base+l], Observation{Vector: vi, PO: poi})

@@ -94,7 +94,12 @@ func TestWatchdogPreemptsStuckSearch(t *testing.T) {
 }
 
 // The ceiling watchdog preempts a search that keeps its heartbeat but runs
-// past the wall-clock ceiling.
+// past the wall-clock ceiling. The ceiling must stay far from both ends:
+// un-injected s27 attempts under deterministicConfig took up to 0.28 s on a
+// 2-vCPU VM, with or without two CPU-bound processes beside the test, so a
+// 150 ms ceiling preempted two or three ordinary attempts as well. The
+// ceiling is seven times that longest attempt, and the injected sleep ten
+// times the ceiling.
 func TestWatchdogCeilingPreemptsLongSearch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock watchdog thresholds are unreliable under -short/-race slowdown")
@@ -103,8 +108,8 @@ func TestWatchdogCeilingPreemptsLongSearch(t *testing.T) {
 	faults := fault.Collapse(c)
 
 	cfg := deterministicConfig(1)
-	armed(t, &cfg, "generate:3:sleep=5s")
-	cfg.Watchdog = supervise.Watchdog{Ceiling: 150 * time.Millisecond}
+	armed(t, &cfg, "generate:3:sleep=20s")
+	cfg.Watchdog = supervise.Watchdog{Ceiling: 2 * time.Second}
 	res := Run(c, faults, cfg)
 	if res.Phases.Preempted != 1 {
 		t.Fatalf("Phases.Preempted = %d, want 1", res.Phases.Preempted)
