@@ -491,8 +491,8 @@ func BenchmarkDeterministicATPG(b *testing.B) {
 	b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "faults/s")
 }
 
-// BenchmarkParallelWorkers measures the parallel fault pipeline against the
-// serial loop on one Table II circuit. With work-bounded budgets the outputs
+// BenchmarkParallelWorkers measures the fault loop at four workers against
+// one worker on one Table II circuit. With work-bounded budgets the outputs
 // are bit-identical by construction (internal/hybrid/parallel_test.go); this
 // benchmark uses the paper's wall-clock budgets, so its legs may diverge in
 // vectors — det/vec are reported to make that visible. Note the committed

@@ -493,8 +493,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			if p.ETA > 0 {
 				eta = report.FormatDuration(p.ETA)
 			}
-			fmt.Fprintf(stderr, "atpg: pass %d/%d fault %d/%d detected %d/%d (%.1f%%) vectors %d elapsed %s eta %s\n",
-				p.Pass, p.PassCount, p.FaultIndex, p.PassTargets, p.Detected, p.TotalFaults,
+			// The retry tail reports as the pass after the schedule.
+			pass := fmt.Sprintf("pass %d/%d", p.Pass, p.PassCount)
+			if p.Pass > p.PassCount {
+				pass = "retry"
+			}
+			fmt.Fprintf(stderr, "atpg: %s fault %d/%d detected %d/%d (%.1f%%) vectors %d elapsed %s eta %s\n",
+				pass, p.FaultIndex, p.PassTargets, p.Detected, p.TotalFaults,
 				100*p.Coverage(), p.Vectors,
 				report.FormatDuration(p.Elapsed), eta)
 		}

@@ -53,8 +53,8 @@ func (e *Engine) SetObs(r *obs.Recorder) { e.rec = r }
 // WithObs returns a view of the engine bound to a different telemetry
 // recorder. The view shares the per-circuit precomputation — which is
 // immutable after construction, so concurrent searches through separate
-// views are safe — and only the recorder differs: a parallel driver gives
-// each speculative attempt a view over its own forked recorder, keeping
+// views are safe — and only the recorder differs: the hybrid fault loop
+// gives each speculative attempt a view over its own forked recorder, keeping
 // discarded attempts out of the committed telemetry.
 func (e *Engine) WithObs(r *obs.Recorder) *Engine {
 	ne := *e

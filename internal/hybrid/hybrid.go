@@ -91,12 +91,13 @@ type Config struct {
 	// HITEC proper. Exposed for the ablation benchmarks.
 	FaultFreeJustify bool
 
-	// Workers sizes the parallel fault pipeline: per-fault searches for up
-	// to Workers faults run concurrently and speculatively, with outcomes
-	// committed strictly in serial fault order, so the test set, report and
-	// checkpoint journal are bit-identical to a serial run with the same
+	// Workers sizes the fault pipeline: per-fault searches for up to
+	// Workers faults run concurrently and speculatively, with outcomes
+	// committed strictly in fault order, so the test set, report and
+	// checkpoint journal are the same at every worker count for the same
 	// seed (per-fault wall-clock limits permitting, exactly as with
-	// Resume). 0 or 1 runs the classic serial loop. The worker count is
+	// Resume). 0 or 1 runs the same pipeline with one worker, which only
+	// ever runs the fault next in commit order. The worker count is
 	// deliberately outside the reproducibility contract: it may differ
 	// between runs, change mid-run under the scheduler, or change across a
 	// resume without affecting any output. With a Governor installed,
@@ -172,12 +173,17 @@ type Config struct {
 	// zero value disables supervision (searches run inline, as before).
 	Watchdog supervise.Watchdog
 
-	// Governor, if non-nil, adapts per-fault search effort to memory
-	// pressure: it is sampled at every fault boundary (never from a timer,
-	// so a forced pressure schedule reproduces exactly), and its level
-	// shrinks the pass's GA population, generations, sequence length and
-	// backtrack allowance toward the schedule's earlier-pass scale. Every
-	// level change is recorded in Result.Degradations.
+	// Governor, if non-nil, holds the memory-pressure settings that adapt
+	// the run to memory pressure. The run only reads it: it builds one
+	// private supervise.Scheduler from it over the run's worker count, so
+	// one Governor may serve many runs. The scheduler is sampled once per
+	// committed targeted fault, in the schedule passes and the retry tail
+	// alike (never from a timer, so a forced pressure schedule reproduces
+	// exactly). Pressure first throttles the worker count; at one worker its
+	// level shrinks the pass's GA population, generations, sequence length
+	// and backtrack allowance toward the schedule's earlier-pass scale.
+	// Every decision is recorded in Result.Degradations and passed to the
+	// Governor's OnDecision.
 	Governor *supervise.Governor
 
 	// Bundle, if non-nil, receives every crash-repro bundle captured during
@@ -342,9 +348,9 @@ type Result struct {
 	Quarantine []Quarantined
 	Retry      RetryStats
 
-	// Degradations is the governor's decision log: every load-shedding
-	// level change, in sampling order. Two runs with the same seed and the
-	// same pressure schedule produce identical logs.
+	// Degradations is the run scheduler's decision log: every level or
+	// worker-count change, in sampling order. Two runs with the same seed and
+	// the same pressure schedule produce identical logs.
 	Degradations []supervise.Decision
 }
 

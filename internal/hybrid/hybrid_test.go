@@ -241,6 +241,18 @@ z = XOR(m, q)
 			t.Fatalf("preprocessed untestable %s detected by random vectors", f.String(c))
 		}
 	}
+	// The screen commits its marks in fault-list order at any worker count.
+	cfg.Workers = 4
+	par := Run(c, faults, cfg)
+	n := res.Phases.Preprocessed
+	if par.Phases.Preprocessed != n || len(par.Untestable) < n {
+		t.Fatalf("4 workers screened %d untestables, 1 worker %d", par.Phases.Preprocessed, n)
+	}
+	for i, f := range res.Untestable[:n] {
+		if par.Untestable[i] != f {
+			t.Fatalf("screen mark %d: %s at 4 workers, %s at 1", i, par.Untestable[i].String(c), f.String(c))
+		}
+	}
 }
 
 // Fault-aware (dual) deterministic justification should not increase verify

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"gahitec/internal/fault"
 	"gahitec/internal/obs"
@@ -219,5 +220,31 @@ func TestObsResumeMetricsEqualUninterrupted(t *testing.T) {
 	if !reflect.DeepEqual(want.Histograms, got.Histograms) {
 		t.Errorf("value histograms diverged:\nfull:    %+v\nresumed: %+v",
 			want.Histograms, got.Histograms)
+	}
+}
+
+// The target span covers the fault's whole search at every worker count:
+// its time is at least the sum of its child phases.
+func TestTargetSpanCoversSearch(t *testing.T) {
+	c := mustParse(t, s27, "s27")
+	faults := fault.Collapse(c)
+	for _, workers := range []int{1, 4} {
+		rec := obs.New(nil)
+		cfg := deterministicConfig(7)
+		cfg.Passes = cfg.Passes[:1]
+		cfg.Workers = workers
+		cfg.Obs = rec
+		Run(c, faults, cfg)
+		m := rec.MetricsSnapshot()
+		var children int64
+		for _, p := range []string{"excite_prop", "ga_justify", "det_justify", "verify", "fault_sim"} {
+			children += m.PhaseNS[p]
+		}
+		if children == 0 {
+			t.Fatalf("workers=%d: no child phase time recorded", workers)
+		}
+		if target := m.PhaseNS["target"]; target < children {
+			t.Errorf("workers=%d: target spans %v < child phases %v", workers, time.Duration(target), time.Duration(children))
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"gahitec/internal/fault"
 	"gahitec/internal/faultsim"
 	"gahitec/internal/obs"
+	"gahitec/internal/runctl"
 	"gahitec/internal/supervise"
 )
 
@@ -202,8 +203,9 @@ func (r *runner) retryQueue() []*Quarantined {
 // retryQuarantined re-targets unresolved quarantined faults with per-attempt
 // escalated budgets (cfg.Retry). Base budgets default to the schedule's last
 // pass, so even the first retry runs with more room than the pass that gave
-// up. Returns false when the run context expired mid-retry; the retry phase
-// is deliberately not checkpointed — a resumed run redoes it from the saved
+// up. Each attempt is one sweep of the fault loop over the retry queue.
+// Returns false when the run context expired mid-retry; the retry phase is
+// deliberately not checkpointed — a resumed run redoes it from the saved
 // quarantine list.
 func (r *runner) retryQuarantined() bool {
 	esc := r.cfg.Retry
@@ -220,7 +222,6 @@ func (r *runner) retryQuarantined() bool {
 	if esc.BaseBacktracks == 0 {
 		esc.BaseBacktracks = last.MaxBacktracks
 	}
-	retried := false
 	for attempt := 1; attempt <= esc.MaxAttempts; attempt++ {
 		queue := r.retryQueue()
 		if len(queue) == 0 {
@@ -232,37 +233,34 @@ func (r *runner) retryQuarantined() bool {
 			MaxBacktracks:   esc.BacktracksAt(attempt),
 			JustifyAttempts: last.JustifyAttempts,
 		}
-		retryPass := len(r.cfg.Passes) + 1
-		for _, q := range queue {
-			if r.expired() {
-				return false
-			}
-			q.Attempts++
-			r.res.Retry.Retried++
-			r.res.Retry.EscalatedTime = int64(pass.TimePerFault)
-			r.res.Retry.EscalatedBacktracks = pass.MaxBacktracks
-			retried = true
-			sp := r.cfg.Obs.StartSpan("target", r.faultLabel(q.Fault), retryPass)
+		targets := make([]fault.Fault, len(queue))
+		for i, q := range queue {
+			targets[i] = q.Fault
+		}
+		if !r.runSweep(sweep{
+			passNo:  len(r.cfg.Passes) + 1,
+			pass:    pass,
+			targets: targets,
 			// Retries replay from the quarantine bundle: the attempt's own
-			// forked sub-seed (offset per attempt) instead of a fresh master
-			// draw, so the retry phase is deterministic given the quarantine
-			// list alone — exactly what a resumed run restores.
-			_, accepted, outcome := r.superviseTarget(q.Fault, pass, retryPass, q.retrySeed(attempt))
-			if r.expired() {
-				sp.End("interrupted", nil)
-				return false
-			}
-			if accepted {
-				sp.End(outcome, obs.Attrs{"attempt": float64(attempt)})
-			} else {
-				sp.End(outcome, nil)
-			}
-			if accepted || outcome == "untestable" {
-				q.Resolved = true
-			}
+			// forked sub-seed (offset per attempt) instead of a master draw,
+			// so the retry phase is deterministic given the quarantine list
+			// alone — exactly what a resumed run restores.
+			subSeed: func(fi int, _ *runctl.Rand) int64 { return queue[fi].retrySeed(attempt) },
+			committed: func(fi int, accepted bool, outcome string) {
+				q := queue[fi]
+				q.Attempts++
+				r.res.Retry.Retried++
+				r.res.Retry.EscalatedTime = int64(pass.TimePerFault)
+				r.res.Retry.EscalatedBacktracks = pass.MaxBacktracks
+				if accepted || outcome == "untestable" {
+					q.Resolved = true
+				}
+			},
+		}) {
+			return false
 		}
 	}
-	if retried {
+	if r.res.Retry.Retried > 0 {
 		// The retry phase reports as one extra row after the schedule.
 		remaining := 0
 		for _, f := range r.fsim.Remaining() {

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -211,5 +212,35 @@ func TestResumeRejectsFingerprintMismatch(t *testing.T) {
 	bad.Quarantine = append([]SavedQuarantine(nil), SavedQuarantine{Fault: SavedFault{Node: 0, Pin: -1, Stuck: "0"}, Reason: "vibes"})
 	if _, err := Resume(context.Background(), c, faults, deterministicConfig(1), &bad); err == nil {
 		t.Error("unknown quarantine reason accepted")
+	}
+}
+
+// The retry tail spends no sequence on a fault the test set already
+// detects: like a pass, a retry attempt skips a target that an earlier retry
+// in the same attempt detected. (Audit demotions are retried regardless, but
+// this run audits nothing.)
+func TestRetrySkipsFaultsDetectedEarlierInAttempt(t *testing.T) {
+	c := mustParse(t, s27, "s27")
+	faults := fault.Collapse(c)
+
+	hooks := runctl.NewHooks()
+	for k := 1; k <= 40; k++ { // expire the first 40 searches
+		hooks.Arm("generate", k, runctl.ActExpire)
+	}
+	cfg := deterministicConfig(1)
+	cfg.Passes = cfg.Passes[:1]
+	cfg.Hooks = hooks
+	cfg.Retry = runctl.Escalation{MaxAttempts: 1}
+	res := Run(c, faults, cfg)
+	if res.Retry.Retried == 0 {
+		t.Fatal("nothing was retried; the retry tail was not exercised")
+	}
+	fs := faultsim.New(c, faults)
+	for i, seq := range res.TestSet {
+		if !slices.Contains(fs.Remaining(), res.Targets[i]) {
+			t.Fatalf("sequence %d targets %s, which sequences 0-%d already detect",
+				i, res.Targets[i].String(c), i-1)
+		}
+		fs.ApplySequence(seq)
 	}
 }

@@ -128,46 +128,20 @@ func reproSearch(ctx context.Context, c *netlist.Circuit, b *supervise.Bundle, f
 		FaultFreeJustify: b.Config.FaultFreeJustify,
 		Hooks:            hooks,
 		Obs:              rec,
+		Watchdog: supervise.Watchdog{
+			Ceiling: time.Duration(b.WatchdogCeilingNS),
+			Stall:   time.Duration(b.WatchdogStallNS),
+		},
 	}
-	r := &runner{
-		ctx:        ctx,
-		c:          c,
-		cfg:        cfg,
-		engine:     atpg.NewEngine(c),
-		res:        &Result{Circuit: c.Name},
-		untestable: make(map[fault.Fault]bool),
-		fp:         b.Fingerprint,
-		quar:       make(map[fault.Fault]*Quarantined),
-	}
+	r := &runner{c: c, cfg: cfg, engine: atpg.NewEngine(c)}
 	r.engine.SetHooks(hooks)
 	r.engine.SetObs(rec)
-
-	w := supervise.Watchdog{
-		Ceiling: time.Duration(b.WatchdogCeilingNS),
-		Stall:   time.Duration(b.WatchdogStallNS),
-	}
 	at := attempt{
 		f: f, pass: pass, passNo: b.Pass, subSeed: b.SubSeed, startGood: startGood,
 		label: r.faultLabel(f), rec: rec, engine: r.engine,
 	}
-	att := &attemptResult{}
-	v := w.Do(ctx, func(ctx context.Context, pulse *runctl.Pulse) {
-		r.searchFault(ctx, pulse, att, at)
-	})
-
-	var outcome string
-	switch {
-	case v.Outcome == supervise.Panicked:
-		outcome = "panic"
-	case v.Outcome.Preempted():
-		outcome = v.Outcome.String()
-	case att.accepted:
-		outcome = "detected"
-	case att.untestable:
-		outcome = "untestable"
-	default:
-		outcome = "undecided"
-	}
+	att, v := r.runAttempt(ctx, at)
+	outcome := attemptOutcome(att, v)
 	rep := &ReproReport{
 		Kind:      b.Kind,
 		Expected:  b.Outcome,

@@ -3,7 +3,6 @@ package hybrid
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"gahitec/internal/atpg"
@@ -28,10 +27,10 @@ type runner struct {
 	untestable map[fault.Fault]bool
 	fp         string // circuit structural fingerprint, cached
 
-	// sched is the run-global scheduler of a parallel run (Config.Workers >
-	// 1 with a Governor installed): the Governor's thresholds promoted to
-	// worker-count throttling. Nil for serial runs, which sample the
-	// Governor directly.
+	// sched is the run's private memory controller, built from
+	// Config.Governor over the run's worker count: it sets the pool's worker
+	// cap and the effort level of every committed targeted fault. Without a
+	// governor it is disabled and holds the configured worker count.
 	sched *supervise.Scheduler
 
 	quar      map[fault.Fault]*Quarantined
@@ -222,65 +221,26 @@ func (r *runner) restore(ck *Checkpoint) error {
 func (r *runner) run() *Result {
 	r.start = time.Now()
 	r.fsim.SetObs(r.cfg.Obs)
-	workers := r.cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > 1 && r.cfg.Governor != nil {
-		// Promote the governor to the run-global scheduler: same thresholds
-		// and probe, but memory pressure throttles the worker count before
-		// it sheds per-fault search effort. The schedule passes sample the
-		// scheduler (at the same deterministic points the serial driver
-		// samples its governor); the serial retry tail still samples the
-		// governor itself.
-		r.sched = &supervise.Scheduler{
-			SoftBytes:  r.cfg.Governor.SoftBytes,
-			HardBytes:  r.cfg.Governor.HardBytes,
-			MaxWorkers: workers,
-			// Two calm samples before any scale-up: heap hovering at a
-			// threshold must not thrash the pool every other fault.
-			DwellSamples: 2,
-			Probe:        r.cfg.Governor.Probe,
-			OnDecision: func(d supervise.Decision) {
-				r.res.Degradations = append(r.res.Degradations, d)
-				r.cfg.Obs.Point("governor", "decision", "", d.Pass, obs.Attrs{
-					"sample":  float64(d.Sample),
-					"heap":    float64(d.Heap),
-					"level":   float64(levelOrd(d.To)),
-					"workers": float64(d.ToWorkers),
-				})
-			},
+	r.sched = r.cfg.Governor.Scheduler(max(r.cfg.Workers, 1), func(d supervise.Decision) {
+		// Record every decision on the Result and in the telemetry stream.
+		r.res.Degradations = append(r.res.Degradations, d)
+		attrs := obs.Attrs{
+			"sample": float64(d.Sample),
+			"heap":   float64(d.Heap),
+			"level":  float64(levelOrd(d.To)),
 		}
-	}
-	if r.cfg.Governor != nil {
-		// Record every load-shedding decision on the Result and in the
-		// telemetry stream, chaining any observer the caller installed. The
-		// runner owns the governor for the duration of the run.
-		user := r.cfg.Governor.OnDecision
-		r.cfg.Governor.OnDecision = func(d supervise.Decision) {
-			r.res.Degradations = append(r.res.Degradations, d)
-			r.cfg.Obs.Point("governor", "decision", "", d.Pass, obs.Attrs{
-				"sample": float64(d.Sample),
-				"heap":   float64(d.Heap),
-				"level":  float64(levelOrd(d.To)),
-			})
-			if user != nil {
-				user(d)
-			}
+		if d.ToWorkers > 0 {
+			attrs["workers"] = float64(d.ToWorkers)
 		}
-	}
+		r.cfg.Obs.Point("governor", "decision", "", d.Pass, attrs)
+	})
 	if r.cfg.PreprocessUntestable && !r.preprocessDone {
-		screen := r.preprocess
-		if workers > 1 {
-			screen = func() bool { return r.preprocessParallel(workers) }
-		}
-		if !screen() {
+		if !r.preprocess() {
 			return r.interrupted()
 		}
 		r.preprocessDone = true
 	}
 	for pi := r.startPass; pi < len(r.cfg.Passes); pi++ {
-		pass := r.cfg.Passes[pi]
 		fi0 := 0
 		passStartSeqs := len(r.res.TestSet)
 		var targets []fault.Fault
@@ -293,20 +253,16 @@ func (r *runner) run() *Result {
 			// turn comes.
 			targets = append([]fault.Fault(nil), r.fsim.Remaining()...)
 		}
-		passOK := false
-		if workers > 1 {
-			// The pool's initial cap is the scheduler's current target, so
-			// throttling survives pass boundaries; without a scheduler the
-			// cap is simply the configured worker count.
-			poolCap := workers
-			if r.sched != nil {
-				poolCap = r.sched.Workers()
-			}
-			passOK = r.runPassParallel(pi, pass, fi0, targets, passStartSeqs, poolCap)
-		} else {
-			passOK = r.runPass(pi, pass, fi0, targets, passStartSeqs)
-		}
-		if !passOK {
+		if !r.runSweep(sweep{
+			passNo:  pi + 1,
+			pass:    r.cfg.Passes[pi],
+			targets: targets,
+			fi0:     fi0,
+			subSeed: func(_ int, master *runctl.Rand) int64 { return master.Int63() },
+			committed: func(fi int, _ bool, _ string) {
+				r.noteBoundary(pi, fi+1, passStartSeqs, false)
+			},
+		}) {
 			return r.interrupted()
 		}
 		remaining := 0
@@ -430,137 +386,6 @@ func (r *runner) snapshot(pi, fi, passStartSeqs int) *Checkpoint {
 	}
 	ck.Degradations = append([]supervise.Decision(nil), r.res.Degradations...)
 	return ck
-}
-
-// guard runs fn inside a recover boundary: a panic in the engines marks the
-// current fault aborted instead of killing the run. The first stack trace
-// is kept for the report; every recovered panic is counted.
-func (r *runner) guard(fn func()) (ok bool) {
-	defer func() {
-		if p := recover(); p != nil {
-			r.res.Phases.Panics++
-			if r.res.FirstPanic == "" {
-				r.res.FirstPanic = fmt.Sprintf("%v\n\n%s", p, debug.Stack())
-			}
-			ok = false
-		}
-	}()
-	fn()
-	return true
-}
-
-// preprocess runs a cheap exhaustive screen over the fault list and marks
-// faults whose excitation or propagation provably cannot succeed (the
-// "filter untestable faults in advance" speedup from the paper's
-// conclusions). The screen uses a two-frame window — untestability proofs
-// are frame-independent (exhaustion without a fault effect crossing the
-// window boundary) — and a small backtrack budget so screening stays cheap.
-// The run context bounds the whole screen: cancellation (or the run
-// deadline) stops it between faults and aborts the in-flight search.
-// It returns false when interrupted.
-func (r *runner) preprocess() bool {
-	sp := r.cfg.Obs.StartSpan("preprocess", "", 0)
-	screened := len(r.fsim.Remaining())
-	for _, f := range r.fsim.Remaining() {
-		if r.expired() {
-			sp.End("interrupted", nil)
-			return false
-		}
-		var res atpg.Result
-		if !r.guard(func() {
-			res = r.engine.GenerateCtx(r.ctx, f, atpg.Limits{MaxFrames: 2, MaxBacktracks: 256})
-		}) {
-			continue
-		}
-		if res.Status == atpg.Untestable {
-			r.untestable[f] = true
-			r.res.Untestable = append(r.res.Untestable, f)
-			r.res.Phases.Preprocessed++
-		}
-	}
-	sp.End("done", obs.Attrs{
-		"screened":   float64(screened),
-		"untestable": float64(r.res.Phases.Preprocessed),
-	})
-	return true
-}
-
-// runPass targets every still-undetected, not-proven-untestable fault once,
-// starting at fi0 within the pass's target snapshot. It returns false when
-// the run context was cancelled.
-func (r *runner) runPass(pi int, pass Pass, fi0 int, targets []fault.Fault, passStartSeqs int) bool {
-	if pass.JustifyAttempts < 1 {
-		pass.JustifyAttempts = 1
-	}
-	remaining := make(map[fault.Fault]bool, len(r.fsim.Remaining()))
-	for _, f := range r.fsim.Remaining() {
-		remaining[f] = true
-	}
-	// Restrict to targets still undetected now; on a fresh pass this is the
-	// whole snapshot, on a resumed pass it excludes faults detected by the
-	// replayed mid-pass sequences.
-	stillRemaining := make(map[fault.Fault]bool, len(targets))
-	for _, f := range targets {
-		if remaining[f] {
-			stillRemaining[f] = true
-		}
-	}
-	passT0 := time.Now()
-	for fi := fi0; fi < len(targets); fi++ {
-		if r.expired() {
-			return false
-		}
-		f := targets[fi]
-		if !stillRemaining[f] || r.untestable[f] {
-			continue
-		}
-		sp := r.cfg.Obs.StartSpan("target", r.faultLabel(f), pi+1)
-		newly, accepted, outcome := r.superviseTarget(f, pass, pi+1, r.rng.Int63())
-		if r.expired() {
-			// The run context died while this fault's search was in flight,
-			// possibly clipping it mid-search. Its outcome is not what an
-			// uninterrupted run would have computed, so it must not reach
-			// the checkpoint stream: interrupt here and let the previous
-			// boundary's snapshot stand as the last consistent state.
-			sp.End("interrupted", nil)
-			return false
-		}
-		if accepted {
-			for _, g := range newly {
-				delete(stillRemaining, g)
-			}
-			sp.End(outcome, obs.Attrs{"newly": float64(len(newly))})
-		} else {
-			sp.End(outcome, nil)
-		}
-		r.noteBoundary(pi, fi+1, passStartSeqs, false)
-		if r.cfg.Progress != nil {
-			done := fi + 1 - fi0
-			var eta time.Duration
-			if done > 0 {
-				// Average-per-fault times remaining; dividing first keeps
-				// the arithmetic far from int64 overflow, and a clock step
-				// backwards is clamped rather than reported as a negative
-				// countdown.
-				eta = time.Since(passT0) / time.Duration(done) * time.Duration(len(targets)-fi-1)
-				if eta < 0 {
-					eta = 0
-				}
-			}
-			r.cfg.Progress(Progress{
-				Pass:        pi + 1,
-				PassCount:   len(r.cfg.Passes),
-				FaultIndex:  fi + 1,
-				PassTargets: len(targets),
-				Detected:    r.fsim.NumDetected(),
-				TotalFaults: r.res.TotalFaults,
-				Vectors:     r.fsim.NumVectors(),
-				Elapsed:     r.elapsed(),
-				ETA:         eta,
-			})
-		}
-	}
-	return true
 }
 
 // levelOrd maps a governor level name to its ordinal for telemetry attrs.

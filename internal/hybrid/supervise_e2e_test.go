@@ -386,3 +386,82 @@ func TestRetryFromBundleDeterministic(t *testing.T) {
 		t.Fatalf("retry stats diverged: %+v vs %+v", a.Retry, b.Retry)
 	}
 }
+
+// One Governor may serve many runs: each run builds its own scheduler from
+// the settings, so a second run neither extends the first run's decision log
+// nor inherits its level or sample count.
+func TestGovernorSharedAcrossRuns(t *testing.T) {
+	c := mustParse(t, s27, "s27")
+	faults := fault.Collapse(c)
+
+	k, observed := 0, 0 // k: samples taken by the current run
+	g := &supervise.Governor{
+		SoftBytes: 100,
+		Probe: func() uint64 {
+			k++
+			if k >= 3 && k <= 6 {
+				return 500
+			}
+			return 10
+		},
+		OnDecision: func(supervise.Decision) { observed++ },
+	}
+	run := func() *Result {
+		k = 0 // replay the same pressure schedule
+		cfg := deterministicConfig(1)
+		cfg.Passes = cfg.Passes[:1]
+		cfg.Governor = g
+		return Run(c, faults, cfg)
+	}
+	a := run()
+	first := append([]supervise.Decision(nil), a.Degradations...)
+	b := run()
+	if len(first) == 0 {
+		t.Fatal("forced pressure schedule produced no decisions")
+	}
+	if !reflect.DeepEqual(a.Degradations, first) {
+		t.Fatalf("the second run changed the first run's log:\n%v\n%v", first, a.Degradations)
+	}
+	if !reflect.DeepEqual(b.Degradations, first) {
+		t.Fatalf("second run's log differs from the first's:\n%v\n%v", b.Degradations, first)
+	}
+	if observed != len(a.Degradations)+len(b.Degradations) {
+		t.Fatalf("OnDecision observed %d decisions, the runs logged %d", observed, len(a.Degradations)+len(b.Degradations))
+	}
+}
+
+// A run has one sample counter: a governed parallel run samples the same
+// scheduler in the schedule passes and in the retry tail, so sample numbers
+// strictly increase across its decision log.
+func TestGovernorSamplesIncreaseThroughRetry(t *testing.T) {
+	c := mustParse(t, s27, "s27")
+	faults := fault.Collapse(c)
+
+	n := 0
+	cfg := deterministicConfig(1)
+	cfg.Workers = 4
+	// Every search expires undecided, so every fault is quarantined and
+	// every retry attempt samples the scheduler once per fault.
+	armed(t, &cfg, "generate:*:expire")
+	cfg.Retry = runctl.Escalation{MaxAttempts: 2}
+	cfg.Governor = &supervise.Governor{SoftBytes: 100, Probe: func() uint64 {
+		n++
+		if n%4 == 0 {
+			return 500
+		}
+		return 10
+	}}
+	res := Run(c, faults, cfg)
+	inRetry := 0
+	for i, d := range res.Degradations {
+		if i > 0 && d.Sample <= res.Degradations[i-1].Sample {
+			t.Fatalf("decision %d (%v) does not follow decision %d (%v)", i, d, i-1, res.Degradations[i-1])
+		}
+		if d.Pass == len(cfg.Passes)+1 {
+			inRetry++
+		}
+	}
+	if inRetry == 0 {
+		t.Fatalf("no decision in the retry tail: %v", res.Degradations)
+	}
+}

@@ -53,23 +53,9 @@ type attemptResult struct {
 	accepted   bool
 }
 
-// superviseTarget runs the Fig. 1 flow for one fault under the configured
-// governor and watchdog and applies the outcome to the run state. It
-// returns the newly detected faults (for an accepted test), whether a test
-// was accepted, and the outcome label for the fault's telemetry span:
-// "detected", "untestable", "undecided", "panic", "preempt_ceiling" or
-// "preempt_stall".
-func (r *runner) superviseTarget(f fault.Fault, pass Pass, passNo int, subSeed int64) (newly []fault.Fault, accepted bool, outcome string) {
-	eff := effectivePass(pass, r.sampleGovernor(passNo))
-	at := r.newAttempt(f, eff, passNo, subSeed)
-	r.res.Phases.Targeted++
-	att, verdict := r.runAttempt(at)
-	return r.applyAttempt(at, att, verdict)
-}
-
 // newAttempt captures one fault attempt's inputs from the committed run
-// state, bound to the run's own recorder and engine (the serial/inline
-// shape; the parallel driver substitutes a forked recorder).
+// state, bound to the run's own recorder and engine (the inline shape; a
+// speculative attempt substitutes a forked recorder).
 func (r *runner) newAttempt(f fault.Fault, eff Pass, passNo int, subSeed int64) attempt {
 	return attempt{
 		f:         f,
@@ -86,9 +72,9 @@ func (r *runner) newAttempt(f fault.Fault, eff Pass, passNo int, subSeed int64) 
 // runAttempt executes one attempt's search body under the configured
 // watchdog, blocking the calling goroutine until the body returns or is
 // abandoned.
-func (r *runner) runAttempt(at attempt) (*attemptResult, supervise.Verdict) {
+func (r *runner) runAttempt(ctx context.Context, at attempt) (*attemptResult, supervise.Verdict) {
 	att := &attemptResult{}
-	verdict := r.cfg.Watchdog.Do(r.ctx, func(ctx context.Context, pulse *runctl.Pulse) {
+	verdict := r.cfg.Watchdog.Do(ctx, func(ctx context.Context, pulse *runctl.Pulse) {
 		r.searchFault(ctx, pulse, att, at)
 	})
 	return att, verdict
@@ -102,15 +88,6 @@ func effectivePass(pass Pass, lvl supervise.Level) Pass {
 		eff.JustifyAttempts = 1
 	}
 	return eff
-}
-
-// sampleGovernor probes memory pressure at this fault boundary and records
-// any level change in the run's degradation log.
-func (r *runner) sampleGovernor(passNo int) supervise.Level {
-	if !r.cfg.Governor.Enabled() {
-		return supervise.LevelNormal
-	}
-	return r.cfg.Governor.Sample(passNo)
 }
 
 // degradePass maps a governor level to tighter per-fault search parameters:
@@ -153,9 +130,29 @@ func degradePass(p Pass, lvl supervise.Level) Pass {
 	return p
 }
 
+// attemptOutcome labels how a finished (or abandoned) attempt ended: "panic",
+// "preempt_ceiling", "preempt_stall", "detected", "untestable" or
+// "undecided". It is the fault's target-span outcome, and a bundle's replay
+// must reproduce it.
+func attemptOutcome(att *attemptResult, v supervise.Verdict) string {
+	switch {
+	case v.Outcome == supervise.Panicked:
+		return "panic"
+	case v.Outcome.Preempted():
+		return v.Outcome.String()
+	case att.accepted:
+		return "detected"
+	case att.untestable:
+		return "untestable"
+	}
+	return "undecided"
+}
+
 // applyAttempt merges a finished (or abandoned) attempt into the run state
 // on the run goroutine: counters, untestability proofs, the accepted test,
-// quarantine entries and crash-repro bundles.
+// quarantine entries and crash-repro bundles. It returns the newly detected
+// faults (for an accepted test), whether a test was accepted, and the
+// attempt's outcome label.
 func (r *runner) applyAttempt(at attempt, att *attemptResult, v supervise.Verdict) (newly []fault.Fault, accepted bool, outcome string) {
 	if !v.Abandoned {
 		// The body has returned; its in-place deltas are complete (panic
@@ -164,28 +161,25 @@ func (r *runner) applyAttempt(at attempt, att *attemptResult, v supervise.Verdic
 		// body's goroutine may still be writing, so its deltas are lost.
 		r.res.Phases.add(att.phases)
 	}
-	switch {
-	case v.Outcome == supervise.Panicked:
+	outcome = attemptOutcome(att, v)
+	switch outcome {
+	case "panic":
 		r.res.Phases.Panics++
 		if r.res.FirstPanic == "" {
 			r.res.FirstPanic = fmt.Sprintf("%s\n\n%s", v.PanicValue, v.PanicStack)
 		}
 		q := r.quarantineFault(at.f, ReasonPanic)
-		r.captureBundle(q, at, supervise.KindPanic, "panic", v)
-		return nil, false, "panic"
-	case v.Outcome.Preempted():
+		r.captureBundle(q, at, supervise.KindPanic, outcome, v)
+	case "preempt_ceiling", "preempt_stall":
 		r.res.Phases.Preempted++
 		q := r.quarantineFault(at.f, ReasonPreempt)
-		r.captureBundle(q, at, supervise.KindPreempt, v.Outcome.String(), v)
+		r.captureBundle(q, at, supervise.KindPreempt, outcome, v)
 		r.cfg.Obs.Point("watchdog", "preempt", r.faultLabel(at.f), at.passNo, obs.Attrs{
 			"beats":      float64(v.Beats),
 			"abandoned":  boolAttr(v.Abandoned),
 			"elapsed_us": float64(v.Elapsed.Microseconds()),
 		})
-		return nil, false, v.Outcome.String()
-	}
-	switch {
-	case att.accepted:
+	case "detected":
 		r.res.TestSet = append(r.res.TestSet, att.seq)
 		r.res.Targets = append(r.res.Targets, at.f)
 		newly = r.fsim.ApplySequence(att.seq)
@@ -202,20 +196,19 @@ func (r *runner) applyAttempt(at attempt, att *attemptResult, v supervise.Verdic
 		if incidental > 0 {
 			r.cfg.Obs.Counter("incidental_detects", int64(incidental))
 		}
-		return newly, true, "detected"
-	case att.untestable:
+		return newly, true, outcome
+	case "untestable":
 		if !r.untestable[at.f] {
 			r.untestable[at.f] = true
 			r.res.Untestable = append(r.res.Untestable, at.f)
 		}
-		return nil, false, "untestable"
 	default:
 		// Undecided: the budget expired without a test or an untestability
 		// proof. Quarantine for the end-of-run retry.
 		q := r.quarantineFault(at.f, ReasonBudget)
-		r.captureBundle(q, at, supervise.KindBudget, "undecided", v)
-		return nil, false, "undecided"
+		r.captureBundle(q, at, supervise.KindBudget, outcome, v)
 	}
+	return nil, false, outcome
 }
 
 func boolAttr(b bool) float64 {

@@ -24,10 +24,11 @@ import (
 
 // Runner drains a Queue: it claims eligible jobs up to the slot budget and
 // executes each through internal/hybrid under per-job supervision. Graceful
-// degradation is layered: each job's Governor probes the whole-process heap,
-// so global memory pressure makes every run shed its own workers first (the
-// promoted supervise.Scheduler, fleet-wide because the heap is shared) and
-// GA effort only at one worker; on top of that, an optional Fleet scheduler
+// degradation is layered: every run builds its own supervise.Scheduler from
+// the Governor settings and probes the whole-process heap, so global memory
+// pressure makes every run shed its own workers first (fleet-wide because
+// the heap is shared) and GA effort only at one worker; on top of that, an
+// optional Fleet scheduler
 // throttles how many job slots the runner fills at all. Admission control —
 // refusing new work outright — is the daemon's job, upstream of the runner.
 type Runner struct {

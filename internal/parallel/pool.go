@@ -1,6 +1,8 @@
-// Package parallel provides the supervised worker pool behind the hybrid
-// driver's parallel fault pipeline: speculative out-of-order execution with
-// strictly ordered commits.
+// Package parallel provides the supervised worker pool behind the fault loop
+// of internal/hybrid: speculative out-of-order execution with strictly
+// ordered commits. Every schedule pass, retry attempt and untestability
+// screen runs through it; a serial run is the pool with one worker, which
+// only ever runs the first uncommitted item that is not skipped.
 //
 // The model is a fixed list of items (the pass's fault targets) whose
 // results must be merged in item order, where executing item i may depend on

@@ -5,10 +5,10 @@ import (
 	"runtime"
 )
 
-// Level is the governor's load-shedding level. Levels only ever tighten the
-// search (smaller populations, shorter sequences, fewer optional passes);
-// they never change which faults are targeted or in what order, so a
-// degraded run differs from a full one only in per-fault effort.
+// Level is the load-shedding level. Levels only ever tighten the search
+// (smaller populations, shorter sequences, fewer optional passes); they never
+// change which faults are targeted or in what order, so a degraded run
+// differs from a full one only in per-fault effort.
 type Level uint8
 
 const (
@@ -32,7 +32,7 @@ func (l Level) String() string {
 	}
 }
 
-// Decision records one governor level change, made at a deterministic
+// Decision records one level or worker-count change, made at a deterministic
 // sampling point. The sequence of decisions is the run's degradation log:
 // with the same seed and the same pressure schedule, two runs produce
 // identical logs and bit-identical results.
@@ -43,9 +43,9 @@ type Decision struct {
 	From   string `json:"from"`
 	To     string `json:"to"`
 
-	// Worker-count throttling, recorded only by the global Scheduler (zero
-	// for plain Governor decisions, and omitted from the JSON so version-4
-	// checkpoints round-trip unchanged).
+	// Worker-count throttling: zero in a one-worker run's log (see
+	// Governor.Scheduler), and then omitted from the JSON so version-4
+	// checkpoints round-trip unchanged.
 	FromWorkers int `json:"from_workers,omitempty"`
 	ToWorkers   int `json:"to_workers,omitempty"`
 }
@@ -58,18 +58,13 @@ func (d Decision) String() string {
 	return s
 }
 
-// Governor maps sampled memory pressure to a load-shedding level. It must be
-// sampled only at deterministic points in the run (fault boundaries), never
-// from a timer goroutine: the sampled values may differ between runs, but
-// the decision points do not, so a forced pressure schedule yields a
-// reproducible run. A nil *Governor is inert and always reports LevelNormal.
-//
-// The governor is sticky upward within a pass and re-evaluates fully at
-// every sample, so pressure relief recovers the full schedule (no permanent
-// degradation from a transient spike).
+// Governor holds a run's memory-pressure settings: the heap thresholds, the
+// probe and an observer. It keeps no state of its own. Each run builds a
+// private Scheduler from it (see Governor.Scheduler), so one Governor may
+// serve any number of runs, one after another or at once.
 type Governor struct {
-	// SoftBytes and HardBytes are the heap thresholds; 0 disables the
-	// governor entirely (both must be set for LevelHard to be reachable).
+	// SoftBytes and HardBytes are the heap thresholds; both zero disables
+	// the governor (both must be set for LevelHard to be reachable).
 	SoftBytes uint64
 	HardBytes uint64
 
@@ -77,67 +72,42 @@ type Governor struct {
 	// runtime.MemStats.HeapAlloc; tests inject a forced pressure schedule.
 	Probe func() uint64
 
-	// OnDecision, if non-nil, observes every level change.
+	// OnDecision, if non-nil, observes every decision of every run.
 	OnDecision func(Decision)
-
-	level   Level
-	samples int
 }
 
-// Enabled reports whether any threshold is armed.
-func (g *Governor) Enabled() bool {
-	return g != nil && (g.SoftBytes > 0 || g.HardBytes > 0)
-}
-
-// Level returns the current level without sampling.
-func (g *Governor) Level() Level {
+// Scheduler builds the private controller of one run over the given number
+// of workers. A nil Governor yields a disabled scheduler that holds the
+// worker count. Every decision goes to record (if non-nil), then to
+// OnDecision.
+//
+// At one worker the scheduler is the plain level schedule: each sample sets
+// the level the sampled pressure calls for, so relief comes on the first
+// calm sample, and decisions carry no worker fields. With more workers, two
+// calm samples gate every relaxation step, so a heap hovering at a threshold
+// cannot thrash the pool every other fault.
+func (g *Governor) Scheduler(workers int, record func(Decision)) *Scheduler {
+	s := &Scheduler{MaxWorkers: workers}
 	if g == nil {
-		return LevelNormal
+		return s
 	}
-	return g.level
-}
-
-// Samples returns how many times the governor has been sampled.
-func (g *Governor) Samples() int {
-	if g == nil {
-		return 0
+	s.SoftBytes, s.HardBytes, s.Probe = g.SoftBytes, g.HardBytes, g.Probe
+	if workers > 1 {
+		s.DwellSamples = 2
 	}
-	return g.samples
-}
-
-// Sample probes the heap once, updates the level, and reports it. pass is
-// the 1-based pass number, recorded on any resulting decision. Not safe for
-// concurrent use; the driver samples from the run goroutine only.
-func (g *Governor) Sample(pass int) Level {
-	if !g.Enabled() {
-		return LevelNormal
-	}
-	g.samples++
-	probe := g.Probe
-	if probe == nil {
-		probe = heapAlloc
-	}
-	heap := probe()
-	next := LevelNormal
-	switch {
-	case g.HardBytes > 0 && heap >= g.HardBytes:
-		next = LevelHard
-	case g.SoftBytes > 0 && heap >= g.SoftBytes:
-		next = LevelSoft
-	}
-	if next != g.level {
-		if g.OnDecision != nil {
-			g.OnDecision(Decision{
-				Sample: g.samples,
-				Pass:   pass,
-				Heap:   heap,
-				From:   g.level.String(),
-				To:     next.String(),
-			})
+	observe := g.OnDecision
+	s.OnDecision = func(d Decision) {
+		if workers <= 1 {
+			d.FromWorkers, d.ToWorkers = 0, 0
 		}
-		g.level = next
+		if record != nil {
+			record(d)
+		}
+		if observe != nil {
+			observe(d)
+		}
 	}
-	return g.level
+	return s
 }
 
 // heapAlloc is the default probe: live heap bytes.

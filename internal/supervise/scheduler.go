@@ -1,20 +1,21 @@
 package supervise
 
-// Scheduler is the Governor promoted to a run-global resource manager for
-// parallel drivers: under memory pressure it first throttles the worker
-// count — concurrency is the cheapest effort to shed, since every in-flight
-// attempt holds a population, frames and simulators — and only once the run
-// is down to a single worker does it start shedding per-fault GA effort
-// through the same Level machinery the serial Governor uses.
+// Scheduler is the memory controller of a run: it maps sampled heap
+// pressure to a worker-count target and a load-shedding level. Under
+// pressure it first throttles the worker count — concurrency is the cheapest
+// effort to shed, since every in-flight attempt holds a population, frames
+// and simulators — and only once the run is down to a single worker does it
+// shed per-fault search effort through the Level machinery. A run builds one
+// from its Governor settings (Governor.Scheduler) and samples it once per
+// committed targeted fault, in the schedule passes and the retry tail alike;
+// the jobq fleet samples its own at scheduling points.
 //
-// Like the Governor, the Scheduler must be sampled only at deterministic
-// points (the driver samples it once per committed targeted fault, exactly
-// where the serial driver samples its Governor), never from a timer: with
-// the same pressure schedule, two runs produce identical decision logs. The
-// worker count itself never changes which faults are targeted, in what
-// order, or with what parameters — ordered commits pin all of that — so
-// throttling decisions affect wall clock only, which is why the worker
-// count stays outside the reproducibility contract.
+// The Scheduler must be sampled only at deterministic points, never from a
+// timer: with the same pressure schedule, two runs produce identical
+// decision logs. The worker count itself never changes which faults are
+// targeted, in what order, or with what parameters — ordered commits pin
+// all of that — so throttling decisions affect wall clock only, which is why
+// the worker count stays outside the reproducibility contract.
 //
 // Decisions escalate and relax stepwise per sample:
 //
@@ -26,12 +27,12 @@ package supervise
 //
 // The invariant is that effort is shed only at one worker (Level > Normal
 // implies Workers() == 1), and concurrency is restored only at full effort.
-// With MaxWorkers == 1 the Scheduler reduces exactly to the Governor's
-// level schedule. A nil *Scheduler is inert: LevelNormal, one worker.
+// With MaxWorkers == 1 and DwellSamples <= 1 each sample sets the level the
+// sampled pressure calls for. A nil *Scheduler is inert: LevelNormal, one
+// worker.
 type Scheduler struct {
-	// SoftBytes and HardBytes are the heap thresholds, as in Governor;
-	// both zero disables the scheduler (it then always reports LevelNormal
-	// and MaxWorkers).
+	// SoftBytes and HardBytes are the heap thresholds; both zero disables
+	// the scheduler (it then always reports LevelNormal and MaxWorkers).
 	SoftBytes uint64
 	HardBytes uint64
 

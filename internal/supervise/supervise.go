@@ -13,11 +13,13 @@
 //     context, waiting a short grace period, and abandoning the goroutine if
 //     it still has not returned.
 //
-//   - Governor: a memory-pressure monitor sampled at deterministic points
-//     (fault boundaries, never from a timer), mapping the sampled heap size
-//     to a load-shedding level. The driver translates levels into smaller GA
-//     populations, shorter sequences and skipped optional passes; every
-//     level change is recorded so a degraded run is explainable.
+//   - Governor and Scheduler: the Governor holds a run's memory-pressure
+//     settings, and each run builds its own Scheduler from them. The
+//     Scheduler is sampled at deterministic points (fault boundaries, never
+//     from a timer) and maps the sampled heap size to a worker-count target
+//     and a load-shedding level. internal/hybrid translates levels into
+//     smaller GA populations, shorter sequences and skipped optional passes;
+//     every decision is recorded so a degraded run is explainable.
 //
 //   - Bundle: a self-contained, deterministic description of one fault
 //     attempt (circuit fingerprint, fault, RNG position, start state, pass
