@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-json bench-check perfbench-test golden fuzz-smoke soak fsck-smoke loadgen-smoke
+.PHONY: build test check bench bench-json bench-check perfbench-test perfbench-smoke golden fuzz-smoke soak fsck-smoke loadgen-smoke
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,13 @@ bench-check:
 # the root does not reach it.
 perfbench-test:
 	$(GO) -C perfbench test ./...
+
+# The benchmark's own output checks, end to end: one round of every workload
+# BENCHMARK.json lists, each output checked against perfbench's reference
+# simulator. perfbench exits 0 even when a check fails, so the script fails
+# unless every result line reads "correct":true. Needs jq.
+perfbench-smoke:
+	./scripts/perfbench-smoke.sh
 
 # Short fuzz pass over the .bench parser: no panics, accepted inputs
 # round-trip. CI runs this on every push; run with a longer -fuzztime to dig.

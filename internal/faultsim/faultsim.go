@@ -1,10 +1,11 @@
 // Package faultsim implements a PROOFS-style bit-parallel sequential fault
-// simulator: up to 64 faulty machines are simulated per pass, one per bit
-// lane, against a serially simulated good machine. The simulator maintains
-// per-fault flip-flop state across calls, so a growing test set can be graded
-// incrementally exactly as the hybrid test generator builds it: every new
-// test sequence is applied on top of the state left by the previous ones,
-// detected faults are dropped, and incidental detections are credited.
+// simulator: up to 64 faulty machines are simulated per pass, one per lane
+// of a sim.PatternSim loaded by LoadFaults, against a serially simulated
+// good machine. The simulator maintains per-fault flip-flop state across
+// calls, so a growing test set can be graded incrementally exactly as the
+// hybrid test generator builds it: every new test sequence is applied on
+// top of the state left by the previous ones, detected faults are dropped,
+// and incidental detections are credited.
 //
 // A fault is counted as detected when a primary output has a binary value in
 // the good machine and the opposite binary value in the faulty machine
@@ -52,7 +53,10 @@ type Simulator struct {
 	detections []Detection // only appended to, so clones share it
 	nVectors   int
 
-	b *batch // reloaded for every 64-fault group; nil until first used
+	// ps is reloaded for every 64-fault group; it and the per-vector
+	// scratch words (PI, flip-flop and PO) are nil until first used.
+	ps            *sim.PatternSim
+	inW, ffW, poW []logic.Word
 
 	hooks *runctl.Hooks // fault-injection harness; nil when disarmed
 	rec   *obs.Recorder // telemetry recorder; nil when disabled
@@ -123,7 +127,7 @@ func (s *Simulator) Clone() *Simulator {
 	cl.fstate = append([]logic.V(nil), s.fstate...)
 	cl.potential = append([]bool(nil), s.potential...)
 	cl.detections = s.detections[:len(s.detections):len(s.detections)]
-	cl.b = nil
+	cl.ps, cl.inW, cl.ffW, cl.poW = nil, nil, nil, nil
 	return &cl
 }
 
@@ -175,8 +179,11 @@ func (s *Simulator) ApplySequence(seq []logic.Vector) []fault.Fault {
 		goodOut[i] = s.good.Step(in)
 	}
 
-	if s.b == nil {
-		s.b = newBatch(s.c)
+	if s.ps == nil {
+		s.ps = sim.NewPatternSim(s.c)
+		s.inW = make([]logic.Word, len(s.c.PIs))
+		s.ffW = make([]logic.Word, len(s.c.DFFs))
+		s.poW = make([]logic.Word, len(s.c.POs))
 	}
 	detected := make([]bool, len(s.remaining))
 	var newly []fault.Fault
@@ -213,33 +220,37 @@ func (s *Simulator) ApplySequence(seq []logic.Vector) []fault.Fault {
 // runBatch simulates faults [base, end) over the sequence.
 func (s *Simulator) runBatch(base, end int, seq []logic.Vector, goodOut []logic.Vector, detected []bool, newly *[]fault.Fault) {
 	n := end - base
-	b := s.b
-	b.load(s.remaining[base:end])
+	nFF := len(s.c.DFFs)
+	ps := s.ps
+	ps.LoadFaults(s.remaining[base:end])
 
 	// Load the per-fault faulty states into the lanes; unused lanes stay X.
-	for ffi, ff := range s.c.DFFs {
+	for ffi := range s.ffW {
 		var w logic.Word
 		for l := 0; l < n; l++ {
-			w = w.WithLane(l, s.fstate[(base+l)*len(s.c.DFFs)+ffi])
+			w = w.WithLane(l, s.fstate[(base+l)*nFF+ffi])
 		}
-		b.setNode(ff, b.stemFixed(ff, w))
+		s.ffW[ffi] = w
 	}
+	ps.SetStateWords(s.ffW)
 
 	live := ^uint64(0) >> uint(logic.Lanes-n) // lanes carrying a fault
 	done := uint64(0)                         // lanes already detected
 	pot := uint64(0)                          // lanes potentially detected
 	for vi, in := range seq {
-		b.settle(in)
-		if s.hooks.Enter(SiteWord) == runctl.ActCorrupt {
-			corruptWord(s.c, b, n, goodOut[vi], done)
-		}
+		ps.Settle(broadcast(s.inW, in))
 		for poi, po := range s.c.POs {
+			s.poW[poi] = ps.NodeWord(po)
+		}
+		if s.hooks.Enter(SiteWord) == runctl.ActCorrupt {
+			corruptWord(s.poW, n, goodOut[vi], done)
+		}
+		for poi, w := range s.poW {
 			g := goodOut[vi][poi]
 			if !g.IsKnown() {
 				continue
 			}
-			goodW := logic.WordAll(g)
-			diff := logic.DiffMask(goodW, b.val[po]) &^ done
+			diff := logic.DiffMask(logic.WordAll(g), w) &^ done
 			for diff != 0 {
 				l := bits.TrailingZeros64(diff)
 				diff &^= 1 << uint(l)
@@ -253,9 +264,9 @@ func (s *Simulator) runBatch(base, end int, seq []logic.Vector, goodOut []logic.
 			}
 			// Potential detections: faulty value unknown where the good
 			// machine drives a binary value.
-			pot |= ^b.val[po].Defined() &^ done & live
+			pot |= ^w.Defined() &^ done & live
 		}
-		b.clock()
+		ps.Clock()
 	}
 	for l := 0; l < n; l++ {
 		if pot&(1<<uint(l)) != 0 {
@@ -264,32 +275,46 @@ func (s *Simulator) runBatch(base, end int, seq []logic.Vector, goodOut []logic.
 	}
 	// Save the faulty states back.
 	for ffi, ff := range s.c.DFFs {
-		w := b.val[ff]
+		w := ps.NodeWord(ff)
 		for l := 0; l < n; l++ {
-			s.fstate[(base+l)*len(s.c.DFFs)+ffi] = w.Get(l)
+			s.fstate[(base+l)*nFF+ffi] = w.Get(l)
 		}
 	}
+}
+
+// broadcast fills ws (one word per PI) with the vector in every lane, X
+// where the vector is short, and returns it.
+func broadcast(ws []logic.Word, in logic.Vector) []logic.Word {
+	for i := range ws {
+		v := logic.X
+		if i < len(in) {
+			v = in[i]
+		}
+		ws[i] = logic.WordAll(v)
+	}
+	return ws
 }
 
 // corruptWord simulates the smallest silent packed-evaluation bug: it finds
 // the first primary output whose good value is binary and the first live
 // lane (< n, not yet detected) that currently agrees with it, and flips that
-// lane to the complement. The fault in that lane is then spuriously
-// "detected" by the comparison loop that follows — exactly the class of
-// miscompare the independent audit exists to catch.
-func corruptWord(c *netlist.Circuit, b *batch, n int, good logic.Vector, done uint64) {
-	for poi, po := range c.POs {
+// lane of the PO word read for the comparison to the complement. The fault
+// in that lane is then spuriously "detected" by the comparison loop that
+// follows — exactly the class of miscompare the independent audit exists to
+// catch. The lane is dropped as detected at once, so no later vector reads
+// the simulator's own, unflipped value for it.
+func corruptWord(po []logic.Word, n int, good logic.Vector, done uint64) {
+	for poi, w := range po {
 		g := good[poi]
 		if !g.IsKnown() {
 			continue
 		}
-		w := b.val[po]
 		for l := 0; l < n; l++ {
 			if done&(1<<uint(l)) != 0 {
 				continue
 			}
 			if w.Get(l) == g {
-				b.val[po] = w.WithLane(l, g.Not())
+				po[poi] = w.WithLane(l, g.Not())
 				return
 			}
 		}

@@ -61,18 +61,19 @@ func Signatures(c *netlist.Circuit, faults []fault.Fault, seq []logic.Vector) []
 	for i, in := range seq {
 		goodOut[i] = good.Step(in)
 	}
-	b := newBatch(c)
+	ps := sim.NewPatternSim(c)
+	inW := make([]logic.Word, len(c.PIs))
 	for base := 0; base < len(faults); base += logic.Lanes {
 		end := min(base+logic.Lanes, len(faults))
-		b.load(faults[base:end])
+		ps.LoadFaults(faults[base:end])
 		for vi, in := range seq {
-			b.settle(in)
+			ps.Settle(broadcast(inW, in))
 			for poi, po := range c.POs {
 				g := goodOut[vi][poi]
 				if !g.IsKnown() {
 					continue
 				}
-				diff := logic.DiffMask(logic.WordAll(g), b.val[po])
+				diff := logic.DiffMask(logic.WordAll(g), ps.NodeWord(po))
 				for diff != 0 {
 					l := bits.TrailingZeros64(diff)
 					diff &^= 1 << uint(l)
@@ -81,7 +82,7 @@ func Signatures(c *netlist.Circuit, faults []fault.Fault, seq []logic.Vector) []
 					}
 				}
 			}
-			b.clock()
+			ps.Clock()
 		}
 	}
 	return out

@@ -87,6 +87,12 @@ type Checkpoint struct {
 	// Degradations is the governor's decision log up to this boundary, so a
 	// resumed run reports the complete degradation history.
 	Degradations []supervise.Decision `json:"degradations,omitempty"`
+
+	// Scheduler is the governed run's memory-controller state at this
+	// boundary (nil for an ungoverned run), so a resumed run keeps the
+	// level, worker target and sample counts the uninterrupted run had.
+	// Version-4 journals written without it resume with a fresh scheduler.
+	Scheduler *supervise.SchedulerState `json:"scheduler,omitempty"`
 }
 
 // SavedQuarantine is the JSON form of one quarantine entry. The bundle

@@ -108,6 +108,19 @@ func newRunner(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, cf
 	if d, ok := ctx.Deadline(); ok {
 		r.deadline = d
 	}
+	r.sched = cfg.Governor.Scheduler(max(cfg.Workers, 1), func(d supervise.Decision) {
+		// Record every decision on the Result and in the telemetry stream.
+		r.res.Degradations = append(r.res.Degradations, d)
+		attrs := obs.Attrs{
+			"sample": float64(d.Sample),
+			"heap":   float64(d.Heap),
+			"level":  float64(levelOrd(d.To)),
+		}
+		if d.ToWorkers > 0 {
+			attrs["workers"] = float64(d.ToWorkers)
+		}
+		r.cfg.Obs.Point("governor", "decision", "", d.Pass, attrs)
+	})
 	r.engine.SetHooks(cfg.Hooks)
 	r.fsim.SetHooks(cfg.Hooks)
 	r.engine.SetObs(cfg.Obs)
@@ -187,6 +200,9 @@ func (r *runner) restore(ck *Checkpoint) error {
 		}
 	}
 	r.res.Degradations = append(r.res.Degradations, ck.Degradations...)
+	if ck.Scheduler != nil {
+		r.sched.Restore(*ck.Scheduler)
+	}
 
 	// Replay the accumulated test set: the fault simulator re-derives the
 	// detection state deterministically, and the pass's target snapshot is
@@ -221,19 +237,6 @@ func (r *runner) restore(ck *Checkpoint) error {
 func (r *runner) run() *Result {
 	r.start = time.Now()
 	r.fsim.SetObs(r.cfg.Obs)
-	r.sched = r.cfg.Governor.Scheduler(max(r.cfg.Workers, 1), func(d supervise.Decision) {
-		// Record every decision on the Result and in the telemetry stream.
-		r.res.Degradations = append(r.res.Degradations, d)
-		attrs := obs.Attrs{
-			"sample": float64(d.Sample),
-			"heap":   float64(d.Heap),
-			"level":  float64(levelOrd(d.To)),
-		}
-		if d.ToWorkers > 0 {
-			attrs["workers"] = float64(d.ToWorkers)
-		}
-		r.cfg.Obs.Point("governor", "decision", "", d.Pass, attrs)
-	})
 	if r.cfg.PreprocessUntestable && !r.preprocessDone {
 		if !r.preprocess() {
 			return r.interrupted()
@@ -385,6 +388,10 @@ func (r *runner) snapshot(pi, fi, passStartSeqs int) *Checkpoint {
 		})
 	}
 	ck.Degradations = append([]supervise.Decision(nil), r.res.Degradations...)
+	if r.sched.Enabled() {
+		st := r.sched.State()
+		ck.Scheduler = &st
+	}
 	return ck
 }
 

@@ -465,3 +465,59 @@ func TestGovernorSamplesIncreaseThroughRetry(t *testing.T) {
 		t.Fatalf("no decision in the retry tail: %v", res.Degradations)
 	}
 }
+
+// A resumed governed run continues its memory controller where the
+// checkpoint left it. Under constant soft pressure, a run interrupted after
+// a checkpoint taken at the soft level, then resumed from that journal, ends
+// with the uninterrupted run's decision log and test set: it neither logs
+// normal -> soft a second time nor, at four workers, runs faults at normal
+// effort while it throttles the pool down again.
+func TestResumeKeepsSchedulerState(t *testing.T) {
+	c := mustParse(t, s27, "s27")
+	faults := fault.Collapse(c)
+	config := func(workers int) Config {
+		cfg := deterministicConfig(3)
+		cfg.Workers = workers
+		cfg.Governor = &supervise.Governor{SoftBytes: 100, Probe: func() uint64 { return 500 }}
+		return cfg
+	}
+	for _, workers := range []int{1, 4} {
+		full := Run(c, faults, config(workers))
+
+		ctx, cancel := context.WithCancel(context.Background())
+		var last *Checkpoint
+		cfg := config(workers)
+		cfg.CheckpointEvery = 1
+		cfg.Checkpoint = func(ck *Checkpoint) {
+			last = ck
+			if n := len(ck.Degradations); n > 0 && ck.Degradations[n-1].To == "soft" {
+				cancel()
+			}
+		}
+		part := RunCtx(ctx, c, faults, cfg)
+		cancel()
+		if !part.Interrupted || last == nil || last.Scheduler == nil {
+			t.Fatalf("workers=%d: no interrupted run with a scheduler checkpoint (interrupted %v)", workers, part.Interrupted)
+		}
+		path := t.TempDir() + "/ck.json"
+		if err := runctl.SaveJSON(path, last); err != nil {
+			t.Fatal(err)
+		}
+		var ck Checkpoint
+		if err := runctl.LoadJSON(path, &ck); err != nil {
+			t.Fatal(err)
+		}
+		if ck.Scheduler.Level != supervise.LevelSoft {
+			t.Fatalf("workers=%d: checkpointed level %s, want soft", workers, ck.Scheduler.Level)
+		}
+
+		res, err := Resume(context.Background(), c, faults, config(workers), &ck)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		sameResults(t, full, res)
+		if !reflect.DeepEqual(res.Degradations, full.Degradations) {
+			t.Fatalf("workers=%d: resumed decision log\n%v\nuninterrupted\n%v", workers, res.Degradations, full.Degradations)
+		}
+	}
+}

@@ -311,16 +311,18 @@ func (ev *evaluator) evaluateBatch(batch []ga.Individual, nPI int) int {
 			}
 			in[pi] = w
 		}
-		ev.goodSim.Step(in)
+		ev.goodSim.Settle(in)
+		ev.goodSim.Clock()
 		if ev.faultSim != nil {
-			ev.faultSim.Step(in)
+			ev.faultSim.Settle(in)
+			ev.faultSim.Clock()
 		}
 		if solvedLane >= 0 {
 			continue // keep stepping to fill final-state fitness
 		}
-		match := coverMask(ev.goodSim.StateWords(), ev.req.TargetGood) & laneMask
+		match := coverMask(ev.goodSim, ev.req.TargetGood) & laneMask
 		if ev.faultSim != nil {
-			match &= coverMask(ev.faultSim.StateWords(), ev.req.TargetFaulty)
+			match &= coverMask(ev.faultSim, ev.req.TargetFaulty)
 		}
 		for match != 0 {
 			l := lowestBit(match)
@@ -356,16 +358,17 @@ func (ev *evaluator) evaluateBatch(batch []ga.Individual, nPI int) int {
 	return solvedLane
 }
 
-// coverMask returns the mask of lanes whose flip-flop words satisfy every
+// coverMask returns the mask of lanes whose flip-flop state satisfies every
 // required (non-X) bit of the target cube.
-func coverMask(ws []logic.Word, target logic.Vector) uint64 {
+func coverMask(ps *sim.PatternSim, target logic.Vector) uint64 {
+	dffs := ps.Circuit().DFFs
 	m := ^uint64(0)
 	for i, v := range target {
 		switch v {
 		case logic.One:
-			m &= ws[i].Ones
+			m &= ps.NodeWord(dffs[i]).Ones
 		case logic.Zero:
-			m &= ws[i].Zeros
+			m &= ps.NodeWord(dffs[i]).Zeros
 		}
 		if m == 0 {
 			break

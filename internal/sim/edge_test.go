@@ -6,6 +6,7 @@ import (
 
 	"gahitec/internal/fault"
 	"gahitec/internal/logic"
+	"gahitec/internal/netlist"
 	"gahitec/internal/testgen"
 )
 
@@ -127,6 +128,41 @@ func TestClearFaultRestores(t *testing.T) {
 	if got := s.Eval(vec(t, "0000")).String(); got != clean {
 		t.Fatalf("ClearFault did not restore: %s vs %s", got, clean)
 	}
+
+	// The 64-lane simulator through LoadFaults -> InjectFault -> ClearFault:
+	// each load replaces every fault before it, so after each step every
+	// lane of every node equals the serial machine with the same fault (or
+	// none). A surviving mask from the per-lane load would stick some lane's
+	// node at a value the serial machine does not have.
+	ps := NewPatternSim(c)
+	in := make([]logic.Word, len(c.PIs))
+	for i := range in {
+		in[i] = logic.WordAll(logic.Zero)
+	}
+	same := func(when string) {
+		t.Helper()
+		s.SetState(vec(t, "000"))
+		s.Eval(vec(t, "0000"))
+		ps.SetStateBroadcast(vec(t, "000"))
+		ps.Eval(in)
+		for i := range c.Nodes {
+			id := netlist.ID(i)
+			for l := 0; l < logic.Lanes; l++ {
+				if got, want := ps.NodeWord(id).Get(l), s.Value(id); got != want {
+					t.Fatalf("%s: node %s lane %d = %s, serial %s", when, c.Nodes[i].Name, l, got, want)
+				}
+			}
+		}
+	}
+	all := fault.All(c)
+	ps.LoadFaults(all[:min(len(all), logic.Lanes)])
+	f := fault.Fault{Node: g17, Pin: fault.StemPin, Stuck: logic.Zero}
+	ps.InjectFault(f)
+	s.InjectFault(f)
+	same("after InjectFault")
+	ps.ClearFault()
+	s.ClearFault()
+	same("after ClearFault")
 }
 
 // Missing input entries are treated as X (short vectors are tolerated).

@@ -1,9 +1,11 @@
 // Package sim provides logic simulation for sequential circuits: a serial
-// three-valued reference simulator and a 64-lane bit-parallel event-driven
-// simulator (the PROOFS-style engine the paper uses to evaluate 32 candidate
-// sequences per pass — 64 here). Both support single-stuck-at fault
-// injection so the good and faulty machines of the paper's fitness function
-// can be simulated with identical semantics.
+// three-valued reference simulator and a 64-lane bit-parallel simulator that
+// evaluates every gate in level order on each settle. The 64-lane simulator
+// is the one engine behind both of the paper's bit-parallel uses: 32
+// candidate sequences per pass (64 here) through one good or faulty machine
+// for GA fitness, and one sequence through 64 faulty machines, one fault per
+// lane, for fault simulation. Both simulators inject stuck-at faults with
+// identical semantics.
 package sim
 
 import (
@@ -52,48 +54,5 @@ func evalScalar(kind netlist.Kind, in []logic.V) logic.V {
 		return logic.One
 	default:
 		return logic.X
-	}
-}
-
-// evalWord computes the 64-lane output of a gate from its fanin words.
-func evalWord(kind netlist.Kind, in []logic.Word) logic.Word {
-	switch kind {
-	case netlist.KBuf:
-		return in[0]
-	case netlist.KNot:
-		return logic.NotW(in[0])
-	case netlist.KAnd, netlist.KNand:
-		acc := logic.WordAll(logic.One)
-		for _, w := range in {
-			acc = logic.AndW(acc, w)
-		}
-		if kind == netlist.KNand {
-			acc = logic.NotW(acc)
-		}
-		return acc
-	case netlist.KOr, netlist.KNor:
-		acc := logic.WordAll(logic.Zero)
-		for _, w := range in {
-			acc = logic.OrW(acc, w)
-		}
-		if kind == netlist.KNor {
-			acc = logic.NotW(acc)
-		}
-		return acc
-	case netlist.KXor, netlist.KXnor:
-		acc := in[0]
-		for _, w := range in[1:] {
-			acc = logic.XorW(acc, w)
-		}
-		if kind == netlist.KXnor {
-			acc = logic.NotW(acc)
-		}
-		return acc
-	case netlist.KConst0:
-		return logic.WordAll(logic.Zero)
-	case netlist.KConst1:
-		return logic.WordAll(logic.One)
-	default:
-		return logic.WordAllX
 	}
 }

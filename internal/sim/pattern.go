@@ -6,43 +6,48 @@ import (
 	"gahitec/internal/netlist"
 )
 
-// PatternSim simulates up to 64 independent input sequences through one
-// machine (good or faulty) in bit-parallel fashion. Lane i of every word
-// belongs to sequence i. Evaluation is event-driven over the levelized
-// netlist: only gates whose fanin changed are re-evaluated, which is the
-// PROOFS scheduling discipline the paper relies on for speed.
+// PatternSim simulates 64 machines in bit-parallel fashion: lane i of every
+// word belongs to machine i. It serves both uses of the paper's bit-parallel
+// simulation: 64 candidate sequences through one good or one faulty machine
+// (GA fitness, InjectFault), and one sequence through 64 faulty machines,
+// one fault per lane (fault simulation, LoadFaults).
+//
+// Evaluation is oblivious: every settle evaluates every gate of the circuit
+// once, in level order, with no event scheduling. Nearly every gate changes
+// on every step of a GA fitness run, so tracking which ones did saves
+// nothing, and a settle reaches the same values either way.
+//
+// Faults go in by per-lane masks, so a machine without faults reads none.
+// stuck[id] forces the stem of node id in the lanes where it is defined, to
+// the value it carries there; pinStuck[pinOff[id]+k] does the same for input
+// pin k of gate or flip-flop id. faulted[id] says which of the two node id
+// has.
 type PatternSim struct {
 	c   *netlist.Circuit
 	val []logic.Word
 
-	flt    fault.Fault
-	hasFlt bool
+	faulted  []uint8
+	stuck    []logic.Word // allocated on the first fault
+	pinStuck []logic.Word // allocated on the first fault
+	pinOff   []int32
+	loaded   []fault.Fault // the faults whose masks the next load clears
 
-	// Event scheduling: one bucket of node IDs per combinational level.
-	buckets   [][]netlist.ID
-	scheduled []bool
-	maxLevel  int
-
-	scratch []logic.Word
-	nextQ   []logic.Word
+	nextQ []logic.Word
 }
 
-// NewPatternSim returns a simulator in the all-unknown state.
+// faulted bits.
+const (
+	stemFault uint8 = 1 << iota
+	pinFault
+)
+
+// NewPatternSim returns a fault-free simulator in the all-unknown state.
 func NewPatternSim(c *netlist.Circuit) *PatternSim {
-	maxLevel := 0
-	for _, l := range c.Level {
-		if int(l) > maxLevel {
-			maxLevel = int(l)
-		}
-	}
 	p := &PatternSim{
-		c:         c,
-		val:       make([]logic.Word, len(c.Nodes)),
-		buckets:   make([][]netlist.ID, maxLevel+1),
-		scheduled: make([]bool, len(c.Nodes)),
-		maxLevel:  maxLevel,
-		scratch:   make([]logic.Word, 0, 8),
-		nextQ:     make([]logic.Word, len(c.DFFs)),
+		c:       c,
+		val:     make([]logic.Word, len(c.Nodes)),
+		faulted: make([]uint8, len(c.Nodes)),
+		nextQ:   make([]logic.Word, len(c.DFFs)),
 	}
 	p.Reset()
 	return p
@@ -51,24 +56,66 @@ func NewPatternSim(c *netlist.Circuit) *PatternSim {
 // Circuit returns the simulated circuit.
 func (p *PatternSim) Circuit() *netlist.Circuit { return p.c }
 
-// InjectFault makes all subsequent evaluation see the given stuck-at fault
-// in every lane and resets the simulator (a stuck line holds its value from
-// power-on).
+// InjectFault puts the given stuck-at fault in every lane, replacing any
+// earlier faults, and resets the simulator (a stuck line holds its value
+// from power-on). This is the faulty machine of GA fitness.
 func (p *PatternSim) InjectFault(f fault.Fault) {
-	p.flt = f
-	p.hasFlt = true
-	p.Reset()
+	p.load([]fault.Fault{f}, ^uint64(0))
 }
 
-// ClearFault removes any injected fault and resets the simulator.
+// LoadFaults puts fs[i] in lane i (at most 64 faults), replacing any earlier
+// faults, and resets the simulator. Lanes past len(fs) carry no fault. This
+// is the batch of faulty machines of fault simulation.
+func (p *PatternSim) LoadFaults(fs []fault.Fault) {
+	p.load(fs, 1)
+}
+
+// ClearFault removes every fault and resets the simulator.
 func (p *PatternSim) ClearFault() {
-	p.hasFlt = false
+	p.load(nil, 0)
+}
+
+// load replaces the loaded faults by fs, fs[i] going in the lanes of
+// lanes<<i (lanes 1: lane i; all lanes for a single fault), and resets.
+func (p *PatternSim) load(fs []fault.Fault, lanes uint64) {
+	for _, f := range p.loaded {
+		p.faulted[f.Node] = 0
+		if f.IsStem() {
+			p.stuck[f.Node] = logic.WordAllX
+		} else {
+			p.pinStuck[p.pinOff[f.Node]+int32(f.Pin)] = logic.WordAllX
+		}
+	}
+	p.loaded = append(p.loaded[:0], fs...)
+	if len(fs) != 0 && p.stuck == nil {
+		p.allocMasks()
+	}
+	for i, f := range fs {
+		m := &p.stuck[f.Node]
+		hit := stemFault
+		if !f.IsStem() {
+			m = &p.pinStuck[p.pinOff[f.Node]+int32(f.Pin)]
+			hit = pinFault
+		}
+		*m = logic.SpreadV(*m, lanes<<uint(i), f.Stuck)
+		p.faulted[f.Node] |= hit
+	}
 	p.Reset()
 }
 
-// Reset puts every node to X in all lanes and schedules a full evaluation.
-// Constant nodes are evaluated here since they are not part of the gate
-// order.
+func (p *PatternSim) allocMasks() {
+	p.pinOff = make([]int32, len(p.c.Nodes))
+	nPins := 0
+	for i := range p.c.Nodes {
+		p.pinOff[i] = int32(nPins)
+		nPins += len(p.c.Nodes[i].Fanin)
+	}
+	p.stuck = make([]logic.Word, len(p.c.Nodes))
+	p.pinStuck = make([]logic.Word, nPins)
+}
+
+// Reset puts every node to X in all lanes, keeping the faults: constants
+// take their value and stuck stems their stuck value.
 func (p *PatternSim) Reset() {
 	for i := range p.val {
 		var w logic.Word
@@ -83,56 +130,36 @@ func (p *PatternSim) Reset() {
 		// A stuck stem holds its value from power-on, before any clocking.
 		p.val[i] = p.stemFixed(netlist.ID(i), w)
 	}
-	for _, id := range p.c.Order {
-		p.schedule(id)
-	}
 }
 
-func (p *PatternSim) schedule(id netlist.ID) {
-	if p.scheduled[id] {
-		return
-	}
-	p.scheduled[id] = true
-	lvl := p.c.Level[id]
-	p.buckets[lvl] = append(p.buckets[lvl], id)
+// force returns w with the lanes where m is defined replaced by m's.
+func force(w, m logic.Word) logic.Word {
+	all := m.Ones | m.Zeros
+	return logic.Word{Ones: w.Ones&^all | m.Ones, Zeros: w.Zeros&^all | m.Zeros}
 }
 
-func (p *PatternSim) scheduleFanouts(id netlist.ID) {
-	for _, fo := range p.c.Fanouts[id] {
-		if p.c.Nodes[fo].Kind.IsGate() {
-			p.schedule(fo)
-		}
-	}
-}
-
-// setNode writes a value and schedules readers if it changed.
-func (p *PatternSim) setNode(id netlist.ID, w logic.Word) {
-	if p.val[id] == w {
-		return
-	}
-	p.val[id] = w
-	p.scheduleFanouts(id)
-}
-
-// stemFixed applies a stem fault at node id.
+// stemFixed applies the stem faults at node id.
 func (p *PatternSim) stemFixed(id netlist.ID, w logic.Word) logic.Word {
-	if p.hasFlt && p.flt.IsStem() && p.flt.Node == id {
-		return logic.WordAll(p.flt.Stuck)
+	if p.faulted[id]&stemFault != 0 {
+		w = force(w, p.stuck[id])
 	}
 	return w
 }
 
-func (p *PatternSim) faninWord(g netlist.ID, pin int) logic.Word {
-	if p.hasFlt && !p.flt.IsStem() && p.flt.Node == g && p.flt.Pin == pin {
-		return logic.WordAll(p.flt.Stuck)
+// faninWord reads the word seen by pin k of node id, whose fanins are fin
+// and whose faulted bits are hit.
+func (p *PatternSim) faninWord(id netlist.ID, hit uint8, fin []netlist.ID, k int) logic.Word {
+	w := p.val[fin[k]]
+	if hit&pinFault != 0 {
+		w = force(w, p.pinStuck[p.pinOff[id]+int32(k)])
 	}
-	return p.val[p.c.Nodes[g].Fanin[pin]]
+	return w
 }
 
 // SetStateBroadcast forces every lane's flip-flops to the same state vector.
 func (p *PatternSim) SetStateBroadcast(st logic.Vector) {
 	for i, ff := range p.c.DFFs {
-		p.setNode(ff, p.stemFixed(ff, logic.WordAll(st[i])))
+		p.val[ff] = p.stemFixed(ff, logic.WordAll(st[i]))
 	}
 }
 
@@ -140,7 +167,7 @@ func (p *PatternSim) SetStateBroadcast(st logic.Vector) {
 // flip-flop.
 func (p *PatternSim) SetStateWords(ws []logic.Word) {
 	for i, ff := range p.c.DFFs {
-		p.setNode(ff, p.stemFixed(ff, ws[i]))
+		p.val[ff] = p.stemFixed(ff, ws[i])
 	}
 }
 
@@ -166,29 +193,65 @@ func (p *PatternSim) StateLane(lane int) logic.Vector {
 // NodeWord returns the settled word at a node.
 func (p *PatternSim) NodeWord(id netlist.ID) logic.Word { return p.val[id] }
 
-// settle applies PI words and propagates events level by level.
-func (p *PatternSim) settle(in []logic.Word) {
+// Settle applies one set of PI words (one word per PI; missing ones are X)
+// and evaluates every gate in level order, without clocking.
+func (p *PatternSim) Settle(in []logic.Word) {
 	for i, pi := range p.c.PIs {
 		w := logic.WordAllX
 		if i < len(in) {
 			w = in[i]
 		}
-		p.setNode(pi, p.stemFixed(pi, w))
+		p.val[pi] = p.stemFixed(pi, w)
 	}
-	for lvl := 0; lvl <= p.maxLevel; lvl++ {
-		bucket := p.buckets[lvl]
-		for k := 0; k < len(bucket); k++ { // fanouts land at higher levels only
-			id := bucket[k]
-			p.scheduled[id] = false
-			n := &p.c.Nodes[id]
-			fin := p.scratch[:0]
-			for pin := range n.Fanin {
-				fin = append(fin, p.faninWord(id, pin))
+	for _, id := range p.c.Order {
+		n := &p.c.Nodes[id]
+		fin := n.Fanin
+		hit := p.faulted[id]
+		var w logic.Word
+		switch n.Kind {
+		case netlist.KBuf:
+			w = p.faninWord(id, hit, fin, 0)
+		case netlist.KNot:
+			w = logic.NotW(p.faninWord(id, hit, fin, 0))
+		case netlist.KAnd, netlist.KNand:
+			w = logic.WordAll(logic.One)
+			for k := range fin {
+				w = logic.AndW(w, p.faninWord(id, hit, fin, k))
 			}
-			p.setNode(id, p.stemFixed(id, evalWord(n.Kind, fin)))
-			p.scratch = fin[:0]
+			if n.Kind == netlist.KNand {
+				w = logic.NotW(w)
+			}
+		case netlist.KOr, netlist.KNor:
+			w = logic.WordAll(logic.Zero)
+			for k := range fin {
+				w = logic.OrW(w, p.faninWord(id, hit, fin, k))
+			}
+			if n.Kind == netlist.KNor {
+				w = logic.NotW(w)
+			}
+		case netlist.KXor, netlist.KXnor:
+			w = p.faninWord(id, hit, fin, 0)
+			for k := 1; k < len(fin); k++ {
+				w = logic.XorW(w, p.faninWord(id, hit, fin, k))
+			}
+			if n.Kind == netlist.KXnor {
+				w = logic.NotW(w)
+			}
 		}
-		p.buckets[lvl] = bucket[:0]
+		if hit&stemFault != 0 {
+			w = force(w, p.stuck[id])
+		}
+		p.val[id] = w
+	}
+}
+
+// Clock latches every flip-flop's D input into its Q.
+func (p *PatternSim) Clock() {
+	for i, ff := range p.c.DFFs {
+		p.nextQ[i] = p.faninWord(ff, p.faulted[ff], p.c.Nodes[ff].Fanin, 0)
+	}
+	for i, ff := range p.c.DFFs {
+		p.val[ff] = p.stemFixed(ff, p.nextQ[i])
 	}
 }
 
@@ -201,27 +264,18 @@ func (p *PatternSim) Outputs() []logic.Word {
 	return out
 }
 
-// Eval applies one set of PI words (one word per PI) and settles, without
-// clocking.
+// Eval applies one set of PI words, settles and returns the PO words,
+// without clocking.
 func (p *PatternSim) Eval(in []logic.Word) []logic.Word {
-	p.settle(in)
+	p.Settle(in)
 	return p.Outputs()
 }
 
 // Step applies one set of PI words, settles, captures outputs, then clocks
 // the flip-flops.
 func (p *PatternSim) Step(in []logic.Word) []logic.Word {
-	p.settle(in)
+	p.Settle(in)
 	out := p.Outputs()
-	p.clock()
+	p.Clock()
 	return out
-}
-
-func (p *PatternSim) clock() {
-	for i, ff := range p.c.DFFs {
-		p.nextQ[i] = p.faninWord(ff, 0)
-	}
-	for i, ff := range p.c.DFFs {
-		p.setNode(ff, p.stemFixed(ff, p.nextQ[i]))
-	}
 }

@@ -88,6 +88,32 @@ func (s *Scheduler) Workers() int {
 	return s.workers
 }
 
+// SchedulerState is the part of a Scheduler that sampling changes. A run's
+// checkpoint carries it, so a resumed run continues the controller where
+// the interrupted one stopped instead of starting over at full effort.
+type SchedulerState struct {
+	Level   Level `json:"level"`
+	Workers int   `json:"workers"`
+	Samples int   `json:"samples"`
+	Calm    int   `json:"calm"`
+}
+
+// State returns the scheduler's sampling state.
+func (s *Scheduler) State() SchedulerState {
+	return SchedulerState{Level: s.Level(), Workers: s.Workers(), Samples: s.Samples(), Calm: s.calm}
+}
+
+// Restore continues from a state State returned, possibly in a run over
+// another worker count: the worker target is clamped to [1, MaxWorkers]. A
+// disabled scheduler ignores it and keeps full effort and all its workers.
+func (s *Scheduler) Restore(st SchedulerState) {
+	if !s.Enabled() {
+		return
+	}
+	s.level, s.samples, s.calm = st.Level, st.Samples, st.Calm
+	s.workers = min(max(st.Workers, 1), s.max())
+}
+
 // Samples returns how many times the scheduler has been sampled.
 func (s *Scheduler) Samples() int {
 	if s == nil {

@@ -446,6 +446,42 @@ func TestSchedulerNilAndDisabled(t *testing.T) {
 	}
 }
 
+// Restore continues a scheduler from the state another one reached,
+// clamping the worker target to its own pool; a disabled scheduler ignores
+// it and stays at full effort with all its workers.
+func TestSchedulerRestore(t *testing.T) {
+	soft := func() uint64 { return 500 }
+	a := &Scheduler{SoftBytes: 100, MaxWorkers: 4, Probe: soft}
+	for i := 0; i < 3; i++ {
+		a.Sample(1) // workers 4 -> 2 -> 1, then effort normal -> soft
+	}
+	st := a.State()
+	if want := (SchedulerState{Level: LevelSoft, Workers: 1, Samples: 3}); st != want {
+		t.Fatalf("state %+v, want %+v", st, want)
+	}
+	b := &Scheduler{SoftBytes: 100, MaxWorkers: 8, Probe: soft}
+	b.Restore(st)
+	if b.State() != st {
+		t.Fatalf("restored state %+v, want %+v", b.State(), st)
+	}
+	var logged []Decision
+	b.OnDecision = func(d Decision) { logged = append(logged, d) }
+	if lvl, w := b.Sample(1); lvl != LevelSoft || w != 1 || b.Samples() != 4 || logged != nil {
+		t.Fatalf("restored scheduler sampled to (%v, %d), sample %d, decisions %v", lvl, w, b.Samples(), logged)
+	}
+
+	narrow := &Scheduler{SoftBytes: 100, MaxWorkers: 2}
+	narrow.Restore(SchedulerState{Workers: 8, Samples: 5, Calm: 5})
+	if narrow.Workers() != 2 {
+		t.Fatalf("worker target %d not clamped to MaxWorkers 2", narrow.Workers())
+	}
+	off := &Scheduler{MaxWorkers: 4}
+	off.Restore(st)
+	if off.Level() != LevelNormal || off.Workers() != 4 || off.Samples() != 0 {
+		t.Fatalf("disabled scheduler took a restored state: %+v", off.State())
+	}
+}
+
 // Two writers racing the same ordinal must never clobber each other: the
 // exclusive link-based publish gives each its own file.
 func TestSaveBundleInConcurrentWritersNeverClobber(t *testing.T) {
